@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <queue>
 #include <utility>
 
@@ -20,6 +21,8 @@ struct ViewState {
   const ViewContribution* c;
   std::unique_ptr<fotf::SegmentCursor> cur;
   Off prev_s = 0;  ///< clamped stream offset at the previous window edge
+  Off abs_lo = 0;  ///< file offset of the first accessed byte
+  Off abs_hi = 0;  ///< one past the file offset of the last accessed byte
 };
 
 /// Stream bytes of `c` with absolute file offset < abs, clamped to the
@@ -42,9 +45,11 @@ fotf::SegmentCursor& cursor_of(ViewState& st) {
 /// Exact hole test for window [wlo, whi): k-way merge of the contributing
 /// cursors' segment streams (each delivered in increasing file order by
 /// monotonicity), advancing a coverage frontier; the first gap decides.
-/// slices[i] is contribution i's clamped stream interval for this window.
+/// slices[i] is contribution i's clamped stream interval for this window;
+/// every segment taken off the heap is added to `merged`.
 bool window_union_dense(Off wlo, Off whi, std::vector<ViewState>& active,
-                        const std::vector<std::pair<Off, Off>>& slices) {
+                        const std::vector<std::pair<Off, Off>>& slices,
+                        Off& merged) {
   struct Seg {
     Off start, end;
     std::size_t idx;
@@ -68,6 +73,7 @@ bool window_union_dense(Off wlo, Off whi, std::vector<ViewState>& active,
   while (!heap.empty() && frontier < whi) {
     const Seg top = heap.top();
     heap.pop();
+    ++merged;
     if (top.start > frontier) return false;  // hole
     frontier = std::max(frontier, std::min(top.end, whi));
     fotf::SegmentCursor& cur = *active[top.idx].cur;
@@ -78,6 +84,95 @@ bool window_union_dense(Off wlo, Off whi, std::vector<ViewState>& active,
       const Off len = std::min(cur.run_len(), limit - cur.stream_pos());
       heap.push({start, start + len, top.idx});
     }
+  }
+  return frontier >= whi;
+}
+
+/// Exact hole test for window [wlo, whi) that merges at most one period
+/// of segments per piece.  Contribution i covers its view pattern
+/// (periodic at extent_i) inside [abs_lo, abs_hi) and nothing outside.
+/// Cutting the window at every such bound that falls inside it leaves
+/// pieces with a fixed active set, whose union therefore repeats at
+/// L = lcm(active extents): a piece longer than L is dense iff its first
+/// L bytes are.  When an extent is not positive, the lcm overflows, or L
+/// is not shorter than the piece, the whole piece is merged.  `cuts` and
+/// `slices` are buffers reused across calls.
+bool window_dense_periodic(Off wlo, Off whi, std::vector<ViewState>& active,
+                           std::vector<std::pair<Off, Off>>& slices,
+                           std::vector<Off>& cuts, Off& merged) {
+  cuts.assign({wlo, whi});
+  for (const ViewState& st : active)
+    for (const Off x : {st.abs_lo, st.abs_hi})
+      if (x > wlo && x < whi) cuts.push_back(x);
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+
+  for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
+    const Off plo = cuts[k];
+    const Off phi = cuts[k + 1];
+    Off period = 1;
+    bool periodic = true;
+    for (const ViewState& st : active) {
+      if (st.abs_lo > plo || st.abs_hi < phi) continue;  // inactive here
+      const Off ext = st.c->filetype->extent();
+      if (ext <= 0 ||
+          __builtin_mul_overflow(period / std::gcd(period, ext), ext,
+                                 &period)) {
+        periodic = false;
+        break;
+      }
+    }
+    const Off chi = periodic && period < phi - plo ? plo + period : phi;
+    for (std::size_t i = 0; i < active.size(); ++i)
+      slices[i] = {clamped_below(*active[i].c, plo),
+                   clamped_below(*active[i].c, chi)};
+    if (!window_union_dense(plo, chi, active, slices, merged)) return false;
+  }
+  return true;
+}
+
+/// Analysis-local tuple cursor: the caller's tuple-consumption state (used
+/// by the actual scatter) must stay untouched.
+struct TupleState {
+  std::span<const dt::OlTuple> tuples;
+  std::size_t idx = 0;
+  Off within = 0;  ///< bytes of tuples[idx] already behind the cursor
+};
+
+/// Exact hole test for window [wlo, whi) over the senders' tuple runs,
+/// each starting at its window-start cursor in `runs` and sorted by file
+/// offset: a k-way frontier sweep that pops the run with the lowest head
+/// and consumes it while its tuples touch the frontier.  Linear in the
+/// segments visited; no window-wide sort.  Every tuple consumed is added
+/// to `merged`.
+bool tuples_union_dense(Off wlo, Off whi, std::vector<TupleState>& runs,
+                        Off& merged) {
+  const auto head = [](const TupleState& r) {
+    return r.tuples[r.idx].off + r.within;
+  };
+  const auto later = [&](std::size_t a, std::size_t b) {
+    return head(runs[a]) > head(runs[b]);
+  };
+  std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(later)>
+      heap(later);
+  for (std::size_t i = 0; i < runs.size(); ++i)
+    if (runs[i].idx < runs[i].tuples.size() && head(runs[i]) < whi)
+      heap.push(i);
+  Off frontier = wlo;
+  while (!heap.empty() && frontier < whi) {
+    const std::size_t top = heap.top();
+    heap.pop();
+    TupleState& r = runs[top];
+    if (head(r) > frontier) return false;  // hole
+    do {
+      const dt::OlTuple& tp = r.tuples[r.idx];
+      frontier = std::max(frontier, tp.off + tp.len);
+      ++r.idx;
+      r.within = 0;
+      ++merged;
+    } while (r.idx < r.tuples.size() && head(r) <= frontier &&
+             frontier < whi);
+    if (r.idx < r.tuples.size() && head(r) < whi) heap.push(top);
   }
   return frontier >= whi;
 }
@@ -100,7 +195,9 @@ DomainWindows analyze_view_domain(
   std::vector<ViewState> active;
   for (const ViewContribution& c : contribs) {
     if (c.s_hi <= c.s_lo || !c.filetype || c.filetype->size() <= 0) continue;
-    active.push_back({&c, nullptr, clamped_below(c, dom_lo)});
+    active.push_back({&c, nullptr, clamped_below(c, dom_lo),
+                      c.disp + fotf::mem_start(c.filetype, c.s_lo),
+                      c.disp + fotf::mem_end(c.filetype, c.s_hi)});
   }
 
   // Fast path: one rank's unclamped view already tiles the whole domain
@@ -118,6 +215,7 @@ DomainWindows analyze_view_domain(
   }
 
   std::vector<std::pair<Off, Off>> slices(active.size());
+  std::vector<Off> cuts;
   bool all = true;
   for (Off w = 0; w < nwin; ++w) {
     const Off wlo = dom_lo + w * win;
@@ -129,7 +227,6 @@ DomainWindows analyze_view_domain(
       const Off s1 = active[i].prev_s;
       const Off s2 = clamped_below(*active[i].c, whi);
       active[i].prev_s = s2;
-      slices[i] = {s1, s2};
       sum += s2 - s1;
       best = std::max(best, s2 - s1);
     }
@@ -141,7 +238,8 @@ DomainWindows analyze_view_domain(
     } else if (sum < size) {
       dense = false;  // even the multiset of contributions is too small
     } else {
-      dense = window_union_dense(wlo, whi, active, slices);
+      dense = window_dense_periodic(wlo, whi, active, slices, cuts,
+                                    out.segments_merged);
     }
     out.dense[to_size(w)] = dense ? 1 : 0;
     all = all && dense;
@@ -163,24 +261,17 @@ DomainWindows analyze_tuple_domain(
   out.dense.assign(to_size(nwin), 0);
   if (nwin == 0) return out;
 
-  // Analysis-local cursors: the caller's tuple-consumption state (used by
-  // the actual scatter) must stay untouched.
-  struct TupleState {
-    std::span<const dt::OlTuple> tuples;
-    std::size_t idx = 0;
-    Off within = 0;
-  };
   std::vector<TupleState> st;
   for (const auto& l : lists)
     if (!l.empty()) st.push_back({l, 0, 0});
 
-  std::vector<std::pair<Off, Off>> segs;
+  std::vector<TupleState> at_wlo;
   bool all = true;
   for (Off w = 0; w < nwin; ++w) {
     const Off wlo = dom_lo + w * win;
     const Off whi = std::min(dom_hi, wlo + win);
     const Off size = whi - wlo;
-    segs.clear();
+    at_wlo = st;
     Off sum = 0;
     Off best = 0;
     for (TupleState& s : st) {
@@ -191,7 +282,6 @@ DomainWindows analyze_tuple_domain(
         if (off >= whi) break;
         LLIO_ASSERT(off >= wlo, "analyze_tuple_domain: tuple behind window");
         const Off cut = std::min(tp.len - s.within, whi - off);
-        segs.push_back({off, off + cut});
         contrib += cut;
         s.within += cut;
         if (s.within == tp.len) {
@@ -209,17 +299,7 @@ DomainWindows analyze_tuple_domain(
     } else if (sum < size) {
       dense = false;
     } else {
-      std::sort(segs.begin(), segs.end());
-      Off frontier = wlo;
-      dense = true;
-      for (const auto& [a, b] : segs) {
-        if (a > frontier) {
-          dense = false;
-          break;
-        }
-        frontier = std::max(frontier, b);
-      }
-      dense = dense && frontier >= whi;
+      dense = tuples_union_dense(wlo, whi, at_wlo, out.segments_merged);
     }
     out.dense[to_size(w)] = dense ? 1 : 0;
     all = all && dense;

@@ -5,13 +5,26 @@
 // to its access range is one contiguous file extent, the whole
 // pack+alltoall exchange can be bypassed with direct writes.
 //
-// Two front-ends share the window-union core:
-//  * analyze_view_domain — listless engine: runs a k-way merge over
+// Both front-ends first try two cheap tests per window: one rank's
+// clamped slice fills the window (dense), or the slices' byte sum falls
+// short of it (holey).  Only the remaining windows need the union:
+//  * analyze_view_domain — listless engine: a k-way merge over
 //    fotf::SegmentCursors of the *cached* remote fileviews (§3.2.3),
-//    never materializing a global ol-list.  Per window the test is the
-//    paper's "ff_size(mergetype, ...) == extent" evaluated exactly.
+//    never materializing a global ol-list, and bounded to one period of
+//    the merged views.  Rank i covers exactly its view pattern (periodic
+//    at extent_i) inside its absolute access interval
+//    [disp + mem_start(s_lo), disp + mem_end(s_hi)) and nothing outside.
+//    Cutting a window at every such bound inside it leaves pieces whose
+//    active set is fixed, so their union repeats at L = lcm(extent_i): a
+//    piece longer than L is dense iff its first L bytes are, and only
+//    those are merged.  When an extent is not positive, the lcm
+//    overflows, or L is not shorter than the piece, the whole piece is
+//    merged.  The verdict is the paper's "ff_size(mergetype, ...) ==
+//    extent", exact, at a cost independent of the window's block count.
 //  * analyze_tuple_domain — list engine: the same union over the
-//    received absolute-offset ol-lists.
+//    received absolute-offset ol-lists.  Each sender's tuples arrive
+//    sorted, so the union is a k-way frontier sweep over the senders'
+//    runs — linear in the tuples visited, no per-window sort.
 //
 // Verdicts are memoized in a small MergeCache keyed by (view epoch,
 // domain, window size, access ranges) so repeated timestep collectives
@@ -45,6 +58,10 @@ struct DomainWindows {
   Off win = 0;  ///< window size (file buffer size)
   std::vector<std::uint8_t> dense;  ///< one flag per window, in file order
   bool all_dense = false;
+  /// Segments the exact union test consumed over all windows: the
+  /// analysis' cost class (one period per window piece on the listless
+  /// path, every segment of an undecided window on the list path).
+  Off segments_merged = 0;
 
   /// Verdict for the window starting at `win_lo` (a domain-window
   /// boundary: lo + k * win).
@@ -60,8 +77,9 @@ struct DomainWindows {
   }
 };
 
-/// Listless-path analysis: k-way SegmentCursor merge over the cached
-/// fileviews.  Contributions with s_hi <= s_lo are ignored.
+/// Listless-path analysis: k-way SegmentCursor merge over one period of
+/// the cached fileviews per window piece.  Contributions with
+/// s_hi <= s_lo are ignored.
 DomainWindows analyze_view_domain(Off dom_lo, Off dom_hi, Off win,
                                   const std::vector<ViewContribution>& contribs);
 

@@ -420,11 +420,30 @@ void Session::handle_recall(std::int64_t lease_id, Off /*lo*/, Off /*hi*/) {
       bit = blocks_.erase(bit);
     }
     leases_.erase(it);
+    // Until the write-back lands, the servers still hold the bytes the
+    // dropped dirty blocks overwrote: op-thread wire traffic waits, and a
+    // fetch already on the wire must not be installed.
+    if (!flush.empty()) {
+      ++recall_flushes_;
+      ++recall_epoch_;
+    }
   }
   // Credit-free, on our own callback comm: a recall flush must never
   // queue behind the (possibly parked) traffic that triggered it.
   write_back(slot_->comm(), flush);
+  if (!flush.empty()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --recall_flushes_;
+    }
+    recall_cv_.notify_all();
+  }
   release_leases(slot_->comm(), rel);
+}
+
+void Session::await_recall_flushes() {
+  std::unique_lock<std::mutex> lock(mu_);
+  recall_cv_.wait(lock, [this] { return recall_flushes_ == 0; });
 }
 
 // ---- Session: cache internals --------------------------------------------
@@ -590,6 +609,12 @@ bool Session::cached_read(Off off, ByteSpan out) {
       bypass_with(ep->comm(), lo, hi, /*writing=*/false);
       return false;
     }
+    std::uint64_t epoch = 0;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      recall_cv_.wait(lock, [this] { return recall_flushes_ == 0; });
+      epoch = recall_epoch_;
+    }
     std::vector<std::pair<Off, ByteVec>> fetched;
     for (const auto& [mlo, mhi] : missing) {
       ByteVec buf(to_size(mhi - mlo));
@@ -599,12 +624,14 @@ bool Session::cached_read(Off off, ByteSpan out) {
 
     std::vector<DirtyExtent> evict_flush;
     bool orphaned = false;
+    bool stale = false;
     bool covered = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const ClientLease& l : newls)
         if (recall_orphans_.erase(l.id) > 0) orphaned = true;
-      if (!orphaned) {
+      stale = !orphaned && recall_epoch_ != epoch;
+      if (!orphaned && !stale) {
         for (const ClientLease& l : newls) leases_.emplace(l.id, l);
         for (const auto& [mlo, buf] : fetched) {
           for (Off b = mlo; b < mlo + to_off(buf.size()); b += B) {
@@ -647,6 +674,14 @@ bool Session::cached_read(Off off, ByteSpan out) {
       bypass_with(ep->comm(), lo, hi, /*writing=*/false);
       return false;
     }
+    if (stale) {
+      // A recall dropped dirty blocks while the fetch was on the wire, and
+      // the servers may have answered it before that write-back landed:
+      // install nothing; the next attempt waits for the flush first.
+      release_leases(ep->comm(), newls);
+      continue;
+    }
+    await_recall_flushes();
     write_back(ep->comm(), evict_flush);
     if (covered) return true;
   }
@@ -708,6 +743,7 @@ bool Session::cached_write(Off off, ConstByteSpan data) {
   }
 
   ServerPool::Endpoint ep = pool_->checkout();
+  await_recall_flushes();
   write_back(ep.comm(), preflush);
   std::vector<ClientLease> newls;
   for (const auto& [glo, ghi] : need) {
@@ -765,6 +801,7 @@ bool Session::cached_write(Off off, ConstByteSpan data) {
     bypass_with(ep.comm(), lo, hi, /*writing=*/true);
     return false;
   }
+  await_recall_flushes();
   write_back(ep.comm(), evict_flush);
   sample_cached(kOpId, data.size(),
                 static_cast<long long>(timer.seconds() * 1e9));
@@ -778,6 +815,7 @@ void Session::flush() {
 }
 
 void Session::flush_with(sim::Comm& comm) {
+  await_recall_flushes();
   std::vector<DirtyExtent> flush;
   std::vector<Off> keys;
   {
@@ -803,13 +841,16 @@ void Session::prepare_bypass(Off lo, Off hi, bool writing) {
   std::lock_guard<std::mutex> op(op_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (blocks_.empty() && leases_.empty()) return;
+    if (blocks_.empty() && leases_.empty() && recall_flushes_ == 0) return;
   }
   ServerPool::Endpoint ep = pool_->checkout();
   bypass_with(ep.comm(), lo, hi, writing);
 }
 
 void Session::bypass_with(sim::Comm& comm, Off lo, Off hi, bool writing) {
+  // The caller's wire access follows: it must not overtake (read before,
+  // or be overwritten by) a recall flush still on its way.
+  await_recall_flushes();
   std::vector<DirtyExtent> flush;
   std::vector<ClientLease> rel;
   std::vector<Off> clean_keys;

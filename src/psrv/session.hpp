@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -211,6 +212,11 @@ class Session {
   void open_on_servers();
   void listener_loop();
   void handle_recall(std::int64_t lease_id, Off lo, Off hi);
+  /// Block until every recall flush the listener has lifted out of the
+  /// cache has landed on the servers.  Called before the op thread reads
+  /// or writes the servers, so neither a fetch nor a newer write-back can
+  /// overtake an older in-flight recall flush.  Takes mu_.
+  void await_recall_flushes();
   void stop_listener() noexcept;
 
   // Wire helpers.  mu_ is never held across them; the comm is either a
@@ -263,6 +269,13 @@ class Session {
   /// Recalls that arrived for lease ids we had not installed yet (the
   /// grant response and the recall raced); install must drop these.
   std::set<std::int64_t> recall_orphans_;
+  /// Recalls whose dirty blocks left the cache but whose write-back the
+  /// servers have not yet acknowledged; recall_cv_ signals each one done.
+  int recall_flushes_ = 0;
+  /// Bumped by every recall that drops dirty blocks; a fetch that saw it
+  /// move while on the wire discards what it read.
+  std::uint64_t recall_epoch_ = 0;
+  std::condition_variable recall_cv_;
   std::uint64_t lru_ = 0;
   bool closed_ = false;
   CacheStats stats_;

@@ -57,6 +57,9 @@ TEST(BtioPattern, PaperTable1DataVolumes) {
 
 struct Table2Row {
   char cls;
+  // gtest names each case with the row's raw bytes: spelling out the
+  // padding after `cls` keeps stack garbage out of the test names.
+  char pad[3];
   int procs;
   Off nblock;
   Off sblock;
@@ -87,14 +90,14 @@ TEST_P(Table2, MatchesPaper) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperRows, Table2,
-    ::testing::Values(Table2Row{'B', 4, 5202, 2040},
-                      Table2Row{'B', 9, 3468, 1360},
-                      Table2Row{'B', 16, 2601, 1020},
-                      Table2Row{'B', 25, 2080, 816},
-                      Table2Row{'C', 4, 13122, 3240},
-                      Table2Row{'C', 9, 8748, 2160},
-                      Table2Row{'C', 16, 6561, 1620},
-                      Table2Row{'C', 25, 5248, 1296}),
+    ::testing::Values(Table2Row{'B', {}, 4, 5202, 2040},
+                      Table2Row{'B', {}, 9, 3468, 1360},
+                      Table2Row{'B', {}, 16, 2601, 1020},
+                      Table2Row{'B', {}, 25, 2080, 816},
+                      Table2Row{'C', {}, 4, 13122, 3240},
+                      Table2Row{'C', {}, 9, 8748, 2160},
+                      Table2Row{'C', {}, 16, 6561, 1620},
+                      Table2Row{'C', {}, 25, 5248, 1296}),
     [](const ::testing::TestParamInfo<Table2Row>& pinfo) {
       return std::string(1, pinfo.param.cls) + "_p" +
              std::to_string(pinfo.param.procs);
