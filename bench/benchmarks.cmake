@@ -32,4 +32,3 @@ llio_add_bench(bench_shared_log)
 
 llio_add_bench(bench_ablation_pack)
 llio_add_bench(bench_ablation_olist)
-target_link_libraries(bench_ablation_olist PRIVATE benchmark::benchmark)

@@ -2,97 +2,57 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "listio/list_mover.hpp"
 #include "mpiio/mergeview.hpp"
 #include "mpiio/pipeline.hpp"
-#include "mpiio/sieve.hpp"
-#include "mpiio/twophase.hpp"
 #include "obs/trace.hpp"
 
 namespace llio::listio {
 
 using mpiio::AccessRange;
 using mpiio::Domain;
-using mpiio::MergeContig;
-using mpiio::SieveContext;
 using mpiio::View;
 
-namespace {
-
-void put_off(ByteVec& out, Off v) {
-  Byte raw[sizeof(Off)];
-  std::memcpy(raw, &v, sizeof(Off));
-  out.insert(out.end(), raw, raw + sizeof(Off));
-}
-
-Off get_off(ConstByteSpan data, std::size_t at) {
-  LLIO_REQUIRE(at + sizeof(Off) <= data.size(), Errc::Protocol,
-               "short message");
-  Off v;
-  std::memcpy(&v, data.data() + at, sizeof(Off));
-  return v;
-}
-
-/// Received collective request: absolute tuples + data cursor state.
-struct RecvList {
-  Off s_lo = 0, s_hi = 0;
-  std::vector<dt::OlTuple> tuples;
-  const Byte* data = nullptr;  ///< packed stream (write path)
-  Byte* reply = nullptr;       ///< reply buffer (read path)
-  std::size_t idx = 0;         ///< current tuple
-  Off within = 0;              ///< bytes consumed of the current tuple
-  Off data_off = 0;            ///< bytes consumed of the data stream
-};
-
-/// Parse the Meta message [s_lo][s_hi][n][tuples...].
-bool parse_meta(const ByteVec& msg, RecvList& out) {
-  if (msg.empty()) return false;
-  out.s_lo = get_off(msg, 0);
-  out.s_hi = get_off(msg, sizeof(Off));
-  const Off n = get_off(msg, 2 * sizeof(Off));
-  LLIO_REQUIRE(n >= 0 &&
-                   msg.size() == (3 + 2 * to_size(n)) * sizeof(Off),
-               Errc::Protocol, "collective list message malformed");
-  out.tuples.resize(to_size(n));
-  std::memcpy(out.tuples.data(), msg.data() + 3 * sizeof(Off),
-              to_size(n) * sizeof(dt::OlTuple));
-  return n > 0;
-}
-
-/// One copy unit inside a window.
-struct WinSpan {
-  Off off;       ///< absolute file offset
-  Off len;
-  RecvList* src;
-  Off data_off;  ///< offset into src->data / src->reply
-};
-
-/// Advance `r` through window [pos, win_hi), emitting clipped spans.
-void collect_window_spans(RecvList& r, Off pos, Off win_hi,
-                          std::vector<WinSpan>& out) {
-  while (r.idx < r.tuples.size()) {
-    const dt::OlTuple& t = r.tuples[r.idx];
-    const Off off = t.off + r.within;
-    const Off len = t.len - r.within;
-    if (off >= win_hi) break;
-    LLIO_ASSERT(off >= pos, "collective tuple behind current window");
-    const Off cut = std::min(len, win_hi - off);
-    out.push_back({off, cut, &r, r.data_off});
-    r.data_off += cut;
-    r.within += cut;
-    if (r.within == t.len) {
-      ++r.idx;
-      r.within = 0;
-    }
-    if (off + cut == win_hi) break;
+OlDescriptor decode_ol_list(ConstByteSpan msg, const AccessRange& sender,
+                            const Domain& dom) {
+  constexpr std::size_t kHdr = 3 * sizeof(Off);
+  OlDescriptor d;
+  d.s_lo = mpiio::get_off(msg, 0);
+  d.s_hi = mpiio::get_off(msg, sizeof(Off));
+  const Off n = mpiio::get_off(msg, 2 * sizeof(Off));
+  // Bound n by the bytes present before multiplying: a huge n must not
+  // wrap (3 + 2n) * 8 around to the message size.
+  constexpr std::size_t kTuple = sizeof(dt::OlTuple);
+  LLIO_REQUIRE(n >= 0 && to_size(n) <= (msg.size() - kHdr) / kTuple &&
+                   msg.size() == kHdr + to_size(n) * kTuple,
+               Errc::Protocol, "collective list message: bad size");
+  LLIO_REQUIRE(d.s_lo <= d.s_hi && d.s_lo >= sender.stream_lo &&
+                   d.s_hi - sender.stream_lo <= sender.nbytes,
+               Errc::Protocol,
+               "collective list message: slice outside the sender's access");
+  d.tuples.resize(to_size(n));
+  if (n > 0)
+    std::memcpy(d.tuples.data(), msg.data() + kHdr, to_size(n) * kTuple);
+  // Tuples must be ascending, disjoint, inside the domain, and cover
+  // exactly the stream slice: the window fill indexes the data by their
+  // running length sum.
+  Off end = dom.lo, sum = 0;
+  for (const dt::OlTuple& t : d.tuples) {
+    LLIO_REQUIRE(t.len > 0 && t.off >= end && t.len <= dom.hi - t.off &&
+                     t.len <= d.s_hi - d.s_lo - sum,
+                 Errc::Protocol,
+                 "collective list message: tuple out of order, outside the "
+                 "domain or past the slice");
+    end = t.off + t.len;
+    sum += t.len;
   }
+  LLIO_REQUIRE(sum == d.s_hi - d.s_lo, Errc::Protocol,
+               "collective list message: tuples do not cover the slice");
+  return d;
 }
-
-}  // namespace
 
 void ListEngine::set_view(const View& v) {
   validate_view(v);
@@ -116,449 +76,161 @@ std::unique_ptr<mpiio::StreamMover> ListEngine::make_nc_mover(
   return std::make_unique<ListMover>(buf, count, mt, &stats_);
 }
 
-Off ListEngine::do_write_at(Off stream_lo, const void* buf, Off count,
-                            const dt::Type& mt) {
-  const Off nbytes = count * mt->size();
-  if (nbytes == 0) return 0;
-  auto mover = make_mover(buf, count, mt);
-  return indep_write(*nav_, stream_lo, nbytes, *mover);
-}
+/// The list-based two-phase strategy (§2.3): the descriptor is an
+/// absolute-offset ol-list clipped to the IOP's domain, shipped in a Meta
+/// exchange of its own; the IOP walks every sender's list window by
+/// window and copies tuple by tuple.
+class ListEngine::Strategy final : public mpiio::TwoPhaseStrategy {
+ public:
+  explicit Strategy(ListEngine& e) : e_(e) {}
 
-Off ListEngine::do_read_at(Off stream_lo, void* buf, Off count,
-                           const dt::Type& mt) {
-  const Off nbytes = count * mt->size();
-  if (nbytes == 0) return 0;
-  auto mover = make_mover(buf, count, mt);
-  return indep_read(*nav_, stream_lo, nbytes, *mover);
-}
+  bool descriptor_in_data() const override { return false; }
 
-std::vector<ListEngine::ClippedList> ListEngine::clip_lists(
-    Off stream_lo, Off nbytes, const std::vector<Domain>& doms) {
   // The N_coll expansion (§2.3): walk my access tuple by tuple across
   // filetype instances and clip every block against the IOP domains.
   // Cost and memory are O(S_access / S_extent * N_block) in total.
-  obs::Span span("list_build");
-  WallTimer t;
-  std::vector<ClippedList> out(doms.size());
-  for (auto& cl : out) cl.s_lo = cl.s_hi = -1;
-  if (nbytes > 0 && view_.dense()) {
-    // Contiguous fileview: the access is one file range; one tuple per
-    // domain (ROMIO treats contiguous filetypes with plain offsets).
-    OlWalker w(&ft_list_, view_.ft_extent());
-    w.position(stream_lo);
-    const Off a0 = view_.disp + w.mem();
-    for (std::size_t di = 0; di < doms.size(); ++di) {
-      const Off lo = std::max(doms[di].lo, a0);
-      const Off hi = std::min(doms[di].hi, a0 + nbytes);
-      if (hi <= lo) continue;
-      out[di].tuples.push_back({lo, hi - lo});
-      out[di].s_lo = stream_lo + (lo - a0);
-      out[di].s_hi = stream_lo + (hi - a0);
-    }
-  } else if (nbytes > 0) {
-    OlWalker w(&ft_list_, view_.ft_extent());
-    w.position(stream_lo);
-    Off s = stream_lo;
-    const Off s_end = stream_lo + nbytes;
-    std::size_t di = 0;
-    while (s < s_end) {
-      Off seg_mem = view_.disp + w.run_mem();
-      Off seg_len = std::min(w.run_len(), s_end - s);
-      w.consume(seg_len);
-      while (seg_len > 0) {
-        while (di < doms.size() &&
-               (doms[di].empty() || doms[di].hi <= seg_mem))
-          ++di;
-        LLIO_ASSERT(di < doms.size() && seg_mem >= doms[di].lo,
-                    "clip_lists: segment outside all domains");
-        const Off cut = std::min(seg_len, doms[di].hi - seg_mem);
-        ClippedList& cl = out[di];
-        if (!cl.tuples.empty() &&
-            cl.tuples.back().off + cl.tuples.back().len == seg_mem) {
-          cl.tuples.back().len += cut;
-        } else {
-          cl.tuples.push_back({seg_mem, cut});
+  std::vector<Slice> describe(const AccessRange& mine,
+                              const std::vector<Domain>& doms) override {
+    obs::Span span("list_build");
+    WallTimer t;
+    const View& view = e_.view_;
+    std::vector<Slice> out(doms.size());
+    std::vector<std::vector<dt::OlTuple>> lists(doms.size());
+    // Append [mem, mem + len) at stream offset s to domain di's list.
+    auto add = [&](std::size_t di, Off mem, Off len, Off s) {
+      std::vector<dt::OlTuple>& l = lists[di];
+      if (l.empty()) out[di].s1 = s;
+      if (!l.empty() && l.back().off + l.back().len == mem)
+        l.back().len += len;
+      else
+        l.push_back({mem, len});
+      out[di].s2 = s + len;
+    };
+    if (mine.nbytes > 0) {
+      OlWalker w(&e_.ft_list_, view.ft_extent());
+      w.position(mine.stream_lo);
+      if (view.dense()) {
+        // Contiguous fileview: the access is one file range; one tuple
+        // per domain (ROMIO treats contiguous filetypes with plain
+        // offsets).
+        const Off a0 = view.disp + w.mem();
+        for (std::size_t di = 0; di < doms.size(); ++di) {
+          const Off lo = std::max(doms[di].lo, a0);
+          const Off hi = std::min(doms[di].hi, a0 + mine.nbytes);
+          if (hi > lo) add(di, lo, hi - lo, mine.stream_lo + (lo - a0));
         }
-        if (cl.s_lo < 0) cl.s_lo = s;
-        cl.s_hi = s + cut;
-        seg_mem += cut;
-        seg_len -= cut;
-        s += cut;
+      } else {
+        Off s = mine.stream_lo;
+        const Off s_end = mine.stream_lo + mine.nbytes;
+        std::size_t di = 0;
+        while (s < s_end) {
+          Off seg_mem = view.disp + w.run_mem();
+          Off seg_len = std::min(w.run_len(), s_end - s);
+          w.consume(seg_len);
+          while (seg_len > 0) {
+            while (di < doms.size() &&
+                   (doms[di].empty() || doms[di].hi <= seg_mem))
+              ++di;
+            LLIO_ASSERT(di < doms.size() && seg_mem >= doms[di].lo,
+                        "list describe: segment outside all domains");
+            const Off cut = std::min(seg_len, doms[di].hi - seg_mem);
+            add(di, seg_mem, cut, s);
+            seg_mem += cut;
+            seg_len -= cut;
+            s += cut;
+          }
+        }
+      }
+    }
+    e_.stats_.list_build_s += t.seconds();
+    Off list_mem = 0;
+    for (std::size_t di = 0; di < doms.size(); ++di) {
+      const std::vector<dt::OlTuple>& l = lists[di];
+      if (l.empty()) continue;
+      const std::size_t list_bytes = l.size() * sizeof(dt::OlTuple);
+      ByteVec& wire = out[di].wire;
+      mpiio::put_off(wire, out[di].s1);
+      mpiio::put_off(wire, out[di].s2);
+      mpiio::put_off(wire, to_off(l.size()));
+      wire.resize(wire.size() + list_bytes);
+      std::memcpy(wire.data() + wire.size() - list_bytes, l.data(), list_bytes);
+      list_mem += to_off(list_bytes);
+    }
+    e_.stats_.list_bytes_sent += list_mem;
+    e_.stats_.list_mem_bytes = std::max(e_.stats_.list_mem_bytes, list_mem);
+    return out;
+  }
+
+  std::size_t decode(ConstByteSpan msg, bool /*with_payload*/,
+                     const AccessRange& sender, const Domain& dom,
+                     Source& out) override {
+    OlDescriptor d = decode_ol_list(msg, sender, dom);
+    out.s_lo = d.s_lo;
+    out.s_hi = d.s_hi;
+    recvs_.push_back({std::move(d.tuples), 0, 0, d.s_lo});
+    return msg.size();
+  }
+
+  void window(std::span<const Source> /*srcs*/, Off lo, Off hi,
+              std::vector<Piece>& out) override {
+    for (std::size_t k = 0; k < recvs_.size(); ++k) {
+      RecvList& r = recvs_[k];
+      while (r.idx < r.tuples.size()) {
+        const dt::OlTuple& t = r.tuples[r.idx];
+        const Off off = t.off + r.within;
+        if (off >= hi) break;
+        LLIO_ASSERT(off >= lo, "collective tuple behind current window");
+        const Off cut = std::min(t.len - r.within, hi - off);
+        out.push_back({k, r.s, cut, off});
+        r.s += cut;
+        r.within += cut;
+        if (r.within == t.len) {
+          ++r.idx;
+          r.within = 0;
+        }
+        if (off + cut == hi) break;
       }
     }
   }
-  Off list_mem = 0;
-  for (const auto& cl : out)
-    list_mem += to_off(cl.tuples.size() * sizeof(dt::OlTuple));
-  stats_.list_build_s += t.seconds();
-  stats_.list_mem_bytes = std::max(stats_.list_mem_bytes, list_mem);
-  return out;
-}
 
-Off ListEngine::do_write_at_all(Off stream_lo, const void* buf, Off count,
-                                const dt::Type& mt) {
-  if (!opts_.cb_write) {  // collective buffering disabled (hint)
-    const Off n = do_write_at(stream_lo, buf, count, mt);
-    comm_->barrier();
-    return n;
-  }
-  const Off nbytes = count * mt->size();
-  const int p = comm_->size();
-  const int rank = comm_->rank();
-  const int niops = mpiio::effective_iops(opts_.io_procs, p);
-  const Off fbs = opts_.file_buffer_size;
-
-  AccessRange mine{stream_lo, nbytes, 0, 0};
-  if (nbytes > 0) {
-    mine.abs_lo = view_.disp + nav_->stream_to_file_start(stream_lo);
-    mine.abs_hi = view_.disp + nav_->stream_to_file_end(stream_lo + nbytes);
-  }
-  StopWatch xw;
-  std::vector<AccessRange> ranges;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "ranges");
-    xw.start();
-    ranges = mpiio::exchange_ranges(*comm_, mine);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  const auto g = mpiio::global_range(ranges);
-  if (!g.any) {
-    comm_->barrier();
-    return 0;
-  }
-
-  // Mergeview bypass: every participant's restriction to its access range
-  // is one contiguous extent and the extents are pairwise disjoint — each
-  // rank writes its own extent directly, no lists, no exchange, no RMW.
-  if (opts_.merge_contig != MergeContig::Off &&
-      mpiio::ranges_dense_disjoint(ranges)) {
-    if (nbytes > 0) {
-      SieveContext ctx{*file_, *locks_, opts_, stats_};
-      auto m = make_mover(buf, count, mt);
-      pfs::ScopedRangeLock lock(*locks_, mine.abs_lo, mine.abs_hi);
-      mpiio::dense_write(ctx, mine.abs_lo, nbytes, *m);
-    }
-    comm_->barrier();
-    ++stats_.merge_contig_ops;
-    return nbytes;  // dense_write already counted bytes_moved
-  }
-
-  const auto domains = mpiio::partition_domains(g, niops, fbs);
-
-  // AP phase 1: build and ship per-IOP ol-lists (Meta) ...
-  auto clipped = clip_lists(stream_lo, nbytes, domains);
-  std::vector<ByteVec> meta(to_size(Off{p}));
-  for (int i = 0; i < niops; ++i) {
-    const ClippedList& cl = clipped[to_size(Off{i})];
-    if (cl.tuples.empty()) continue;
-    ByteVec& msg = meta[to_size(Off{i})];
-    put_off(msg, cl.s_lo);
-    put_off(msg, cl.s_hi);
-    put_off(msg, to_off(cl.tuples.size()));
-    const std::size_t at = msg.size();
-    msg.resize(at + cl.tuples.size() * sizeof(dt::OlTuple));
-    std::memcpy(msg.data() + at, cl.tuples.data(),
-                cl.tuples.size() * sizeof(dt::OlTuple));
-    stats_.list_bytes_sent += to_off(cl.tuples.size() * sizeof(dt::OlTuple));
-  }
-  xw.reset();
-  std::vector<ByteVec> meta_in;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "lists");
-    xw.start();
-    meta_in = comm_->alltoall(std::move(meta), sim::MsgClass::Meta);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  // ... and the corresponding data slices (Data), packed via the
-  // per-access memtype ol-list.
-  std::unique_ptr<mpiio::StreamMover> mover;
-  if (nbytes > 0) mover = make_mover(buf, count, mt);
-  std::vector<ByteVec> data_out(to_size(Off{p}));
-  {
-    obs::Span span("pack");
-    span.arg("what", "phase1_pack");
-    for (int i = 0; i < niops; ++i) {
-      const ClippedList& cl = clipped[to_size(Off{i})];
-      if (cl.tuples.empty()) continue;
-      ByteVec& msg = data_out[to_size(Off{i})];
-      msg.resize(to_size(cl.s_hi - cl.s_lo));
-      StopWatch cw;
-      cw.start();
-      mover->to_stream(msg.data(), cl.s_lo - stream_lo, cl.s_hi - cl.s_lo);
-      cw.stop();
-      stats_.copy_s += cw.seconds();
-      stats_.data_bytes_sent += cl.s_hi - cl.s_lo;
+  void fill(std::span<const Source> srcs, const mpiio::WindowPlan& plan,
+            ByteSpan win, std::span<const Piece> pieces,
+            bool writing) override {
+    for (const Piece& pc : pieces) {
+      const Source& src = srcs[pc.src];
+      Byte* stream = src.data + (pc.s - src.s_lo);
+      Byte* file = win.data() + (pc.off - plan.lo);
+      if (writing)
+        std::memcpy(file, stream, to_size(pc.len));
+      else
+        std::memcpy(stream, file, to_size(pc.len));
     }
   }
-  xw.reset();
-  std::vector<ByteVec> data_in;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "data");
-    xw.start();
-    data_in = comm_->alltoall(std::move(data_out), sim::MsgClass::Data);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
 
-  // IOP phase 2: merge lists per block, patch and write back.
-  if (rank < niops && !domains[to_size(Off{rank})].empty()) {
-    const Domain dom = domains[to_size(Off{rank})];
-    SieveContext ctx{*file_, *locks_, opts_, stats_};
-    std::vector<RecvList> recvs;
-    for (int r = 0; r < p; ++r) {
-      RecvList rl;
-      if (!parse_meta(meta_in[to_size(Off{r})], rl)) continue;
-      const ByteVec& d = data_in[to_size(Off{r})];
-      LLIO_REQUIRE(d.size() == to_size(rl.s_hi - rl.s_lo), Errc::Protocol,
-                   "write_at_all: data/list size mismatch");
-      recvs.push_back(std::move(rl));
-      recvs.back().data = data_in[to_size(Off{r})].data();
-    }
-
-    // Mergeview analysis (§3.2.4): per-window hole-freeness as a union of
-    // the received (sorted, domain-clipped) ol-lists, memoized across
-    // repeated collectives on the same view.
-    const MergeContig mode = opts_.merge_contig;
-    const mpiio::DomainWindows* verdict = nullptr;
-    if (mode == MergeContig::Auto) {
-      obs::Span span("merge_analysis");
-      StopWatch mw;
-      mw.start();
-      verdict = &merge_cache_.get(
-          mpiio::MergeCache::Key{view_epoch_, dom.lo, dom.hi, fbs, ranges},
-          [&] {
-            std::vector<std::span<const dt::OlTuple>> lists;
-            lists.reserve(recvs.size());
-            for (const RecvList& rl : recvs)
-              lists.push_back({rl.tuples.data(), rl.tuples.size()});
-            return mpiio::analyze_tuple_domain(dom.lo, dom.hi, fbs, lists);
-          });
-      mw.stop();
-      stats_.merge_analysis_s += mw.seconds();
-    }
-
-    // collect_window_spans advances the recv-list cursors, so spans are
-    // produced by `next` (strictly in window order) and handed to `fill`
-    // through a queue.
-    std::deque<std::vector<WinSpan>> queued;
-    Off pos = dom.lo;
-    auto next = [&](mpiio::WindowPlan& plan) {
-      while (pos < dom.hi) {
-        const Off win_lo = pos;
-        const Off win_hi = std::min(dom.hi, pos + fbs);
-        pos = win_hi;
-        std::vector<WinSpan> spans;
-        for (RecvList& rl : recvs)
-          collect_window_spans(rl, win_lo, win_hi, spans);
-        if (spans.empty()) continue;
-        plan.lo = win_lo;
-        plan.hi = win_hi;
-        plan.preread = mode == MergeContig::Off    ? true
-                       : mode == MergeContig::Force ? false
-                                                    : !verdict->dense_at(win_lo);
-        plan.writeback = true;
-        plan.lock = true;
-        queued.push_back(std::move(spans));
-        return true;
-      }
-      return false;
-    };
-    auto fill = [&](const mpiio::WindowPlan& plan, ByteSpan fbuf) {
-      std::vector<WinSpan> spans = std::move(queued.front());
-      queued.pop_front();
-      obs::Span span("pack");
-      span.arg("win", plan.index);
-      span.arg("spans", to_off(spans.size()));
-      StopWatch cw;
-      cw.start();
-      for (const WinSpan& sp : spans) {
-        std::memcpy(fbuf.data() + (sp.off - plan.lo),
-                    sp.src->data + sp.data_off, to_size(sp.len));
-      }
-      cw.stop();
-      stats_.copy_s += cw.seconds();
-    };
-    mpiio::run_window_pipeline(ctx, opts_.pipeline_depth,
-                               std::min(fbs, dom.hi - dom.lo), next, fill);
-  }
-  comm_->barrier();
-  stats_.bytes_moved += nbytes;
-  return nbytes;
-}
-
-Off ListEngine::do_read_at_all(Off stream_lo, void* buf, Off count,
-                               const dt::Type& mt) {
-  if (!opts_.cb_read) {
-    const Off n = do_read_at(stream_lo, buf, count, mt);
-    comm_->barrier();
-    return n;
-  }
-  const Off nbytes = count * mt->size();
-  const int p = comm_->size();
-  const int rank = comm_->rank();
-  const int niops = mpiio::effective_iops(opts_.io_procs, p);
-  const Off fbs = opts_.file_buffer_size;
-
-  AccessRange mine{stream_lo, nbytes, 0, 0};
-  if (nbytes > 0) {
-    mine.abs_lo = view_.disp + nav_->stream_to_file_start(stream_lo);
-    mine.abs_hi = view_.disp + nav_->stream_to_file_end(stream_lo + nbytes);
-  }
-  StopWatch xw;
-  std::vector<AccessRange> ranges;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "ranges");
-    xw.start();
-    ranges = mpiio::exchange_ranges(*comm_, mine);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  const auto g = mpiio::global_range(ranges);
-  if (!g.any) {
-    comm_->barrier();
-    return 0;
+  mpiio::DomainWindows analyze(
+      const Domain& dom, Off win,
+      const std::vector<AccessRange>& /*ranges*/) override {
+    std::vector<std::span<const dt::OlTuple>> lists;
+    lists.reserve(recvs_.size());
+    for (const RecvList& r : recvs_) lists.push_back(r.tuples);
+    return mpiio::analyze_tuple_domain(dom.lo, dom.hi, win, lists);
   }
 
-  // Mergeview bypass, read flavour: every participant's restriction is one
-  // contiguous extent — overlap is fine for reads, so the disjointness
-  // requirement of the write bypass is dropped.  Each rank reads its own
-  // extent directly (zero-copy into user memory when the memtype yields an
-  // in-budget run list), skipping lists and the exchange entirely.
-  if (opts_.merge_contig != MergeContig::Off && mpiio::ranges_dense(ranges)) {
-    if (nbytes > 0) {
-      SieveContext ctx{*file_, *locks_, opts_, stats_};
-      auto m = make_mover(buf, count, mt);
-      mpiio::dense_read(ctx, mine.abs_lo, nbytes, *m);
-    }
-    comm_->barrier();
-    ++stats_.merge_contig_ops;
-    return nbytes;  // dense_read already counted bytes_moved
-  }
+ private:
+  /// One sender's received list and the window walk's cursor into it.
+  struct RecvList {
+    std::vector<dt::OlTuple> tuples;
+    std::size_t idx = 0;  ///< current tuple
+    Off within = 0;       ///< bytes consumed of the current tuple
+    Off s = 0;            ///< stream offset of the next byte
+  };
 
-  const auto domains = mpiio::partition_domains(g, niops, fbs);
+  ListEngine& e_;
+  std::vector<RecvList> recvs_;  ///< in decode (= source) order
+};
 
-  // AP phase 1: ship per-IOP request ol-lists (Meta only).
-  auto clipped = clip_lists(stream_lo, nbytes, domains);
-  std::vector<ByteVec> meta(to_size(Off{p}));
-  for (int i = 0; i < niops; ++i) {
-    const ClippedList& cl = clipped[to_size(Off{i})];
-    if (cl.tuples.empty()) continue;
-    ByteVec& msg = meta[to_size(Off{i})];
-    put_off(msg, cl.s_lo);
-    put_off(msg, cl.s_hi);
-    put_off(msg, to_off(cl.tuples.size()));
-    const std::size_t at = msg.size();
-    msg.resize(at + cl.tuples.size() * sizeof(dt::OlTuple));
-    std::memcpy(msg.data() + at, cl.tuples.data(),
-                cl.tuples.size() * sizeof(dt::OlTuple));
-    stats_.list_bytes_sent += to_off(cl.tuples.size() * sizeof(dt::OlTuple));
-  }
-  xw.reset();
-  std::vector<ByteVec> meta_in;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "lists");
-    xw.start();
-    meta_in = comm_->alltoall(std::move(meta), sim::MsgClass::Meta);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  // IOP phase 2: read blocks, gather each AP's tuples into its reply.
-  std::vector<ByteVec> replies(to_size(Off{p}));
-  if (rank < niops && !domains[to_size(Off{rank})].empty()) {
-    const Domain dom = domains[to_size(Off{rank})];
-    SieveContext ctx{*file_, *locks_, opts_, stats_};
-    std::vector<RecvList> recvs;
-    for (int r = 0; r < p; ++r) {
-      RecvList rl;
-      if (!parse_meta(meta_in[to_size(Off{r})], rl)) continue;
-      ByteVec& reply = replies[to_size(Off{r})];
-      reply.resize(to_size(rl.s_hi - rl.s_lo));
-      rl.reply = reply.data();
-      recvs.push_back(std::move(rl));
-      stats_.data_bytes_sent += recvs.back().s_hi - recvs.back().s_lo;
-    }
-    std::deque<std::vector<WinSpan>> queued;
-    Off pos = dom.lo;
-    auto next = [&](mpiio::WindowPlan& plan) {
-      while (pos < dom.hi) {
-        const Off win_lo = pos;
-        const Off win_hi = std::min(dom.hi, pos + fbs);
-        pos = win_hi;
-        std::vector<WinSpan> spans;
-        for (RecvList& rl : recvs)
-          collect_window_spans(rl, win_lo, win_hi, spans);
-        if (spans.empty()) continue;
-        plan.lo = win_lo;
-        plan.hi = win_hi;
-        plan.preread = true;
-        plan.writeback = false;
-        plan.lock = false;
-        queued.push_back(std::move(spans));
-        return true;
-      }
-      return false;
-    };
-    auto fill = [&](const mpiio::WindowPlan& plan, ByteSpan fbuf) {
-      std::vector<WinSpan> spans = std::move(queued.front());
-      queued.pop_front();
-      obs::Span span("pack");
-      span.arg("win", plan.index);
-      span.arg("spans", to_off(spans.size()));
-      StopWatch cw;
-      cw.start();
-      for (const WinSpan& sp : spans) {
-        std::memcpy(sp.src->reply + sp.data_off,
-                    fbuf.data() + (sp.off - plan.lo), to_size(sp.len));
-      }
-      cw.stop();
-      stats_.copy_s += cw.seconds();
-    };
-    mpiio::run_window_pipeline(ctx, opts_.pipeline_depth,
-                               std::min(fbs, dom.hi - dom.lo), next, fill);
-  }
-  xw.reset();
-  std::vector<ByteVec> data_in;
-  {
-    obs::Span span("exchange");
-    span.arg("what", "data");
-    xw.start();
-    data_in = comm_->alltoall(std::move(replies), sim::MsgClass::Data);
-    xw.stop();
-  }
-  stats_.exchange_s += xw.seconds();
-
-  // AP phase 3: unpack replies through the memtype ol-list.
-  if (nbytes > 0) {
-    auto mover = make_mover(buf, count, mt);
-    obs::Span span("pack");
-    span.arg("what", "phase3_unpack");
-    StopWatch cw;
-    cw.start();
-    for (int i = 0; i < niops; ++i) {
-      const ClippedList& cl = clipped[to_size(Off{i})];
-      if (cl.tuples.empty()) continue;
-      const ByteVec& reply = data_in[to_size(Off{i})];
-      LLIO_REQUIRE(reply.size() == to_size(cl.s_hi - cl.s_lo), Errc::Protocol,
-                   "read_at_all: bad reply size");
-      mover->from_stream(reply.data(), cl.s_lo - stream_lo, cl.s_hi - cl.s_lo);
-    }
-    cw.stop();
-    stats_.copy_s += cw.seconds();
-  }
-  comm_->barrier();
-  stats_.bytes_moved += nbytes;
-  return nbytes;
+std::unique_ptr<mpiio::TwoPhaseStrategy> ListEngine::two_phase_strategy() {
+  return std::make_unique<Strategy>(*this);
 }
 
 }  // namespace llio::listio

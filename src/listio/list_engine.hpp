@@ -5,12 +5,13 @@
 //    it (§2.1).
 //  * independent access uses the shared data-sieving skeleton with linear
 //    ol-list navigation and per-tuple copies (§2.2).
-//  * collective access uses two-phase I/O where every AP expands its
-//    fileview over each IOP's file domain into a fresh absolute-offset
-//    ol-list of N_coll tuples and ships it with the data; IOPs merge the
-//    received lists per file block to test write coverage and copy tuple
-//    by tuple (§2.3).  No fileview caching: lists are rebuilt and re-sent
-//    on every collective call.
+//  * collective access runs the shared mpiio::TwoPhase driver with this
+//    engine's strategy: every AP expands its fileview over each IOP's
+//    file domain into a fresh absolute-offset ol-list of N_coll tuples
+//    and ships it in a Meta exchange ahead of the data; IOPs merge the
+//    received lists per file block to test write coverage
+//    (analyze_tuple_domain) and copy tuple by tuple (§2.3).  No fileview
+//    caching: lists are rebuilt and re-sent on every collective call.
 #pragma once
 
 #include <memory>
@@ -22,6 +23,22 @@
 #include "mpiio/twophase.hpp"
 
 namespace llio::listio {
+
+/// A decoded two-phase ol-list descriptor: the sender's stream slice
+/// [s_lo, s_hi) and the absolute file tuples it maps to.
+struct OlDescriptor {
+  Off s_lo = 0, s_hi = 0;
+  std::vector<dt::OlTuple> tuples;
+};
+
+/// Decode the wire form [s_lo][s_hi][n][n x (off, len)] sent by a rank
+/// whose access is `sender` to the IOP owning `dom`.  Throws
+/// Errc::Protocol unless the message is exactly 24 + 16n bytes, [s_lo,
+/// s_hi) lies inside the sender's access, and the tuples are non-empty,
+/// ascending, disjoint, inside `dom`, and sum to s_hi - s_lo.
+OlDescriptor decode_ol_list(ConstByteSpan msg,
+                            const mpiio::AccessRange& sender,
+                            const mpiio::Domain& dom);
 
 class ListEngine final : public mpiio::IoEngine {
  public:
@@ -36,27 +53,15 @@ class ListEngine final : public mpiio::IoEngine {
   Off view_list_bytes() const { return ft_list_.memory_bytes(); }
 
  protected:
-  Off do_read_at(Off stream_lo, void* buf, Off count,
-                 const dt::Type& mt) override;
-  Off do_write_at(Off stream_lo, const void* buf, Off count,
-                  const dt::Type& mt) override;
-  Off do_read_at_all(Off stream_lo, void* buf, Off count,
-                     const dt::Type& mt) override;
-  Off do_write_at_all(Off stream_lo, const void* buf, Off count,
-                      const dt::Type& mt) override;
+  mpiio::ViewNav& nav() override { return *nav_; }
 
   std::unique_ptr<mpiio::StreamMover> make_nc_mover(
       const void* buf, Off count, const dt::Type& mt) override;
 
+  std::unique_ptr<mpiio::TwoPhaseStrategy> two_phase_strategy() override;
+
  private:
-  /// Absolute-offset tuples of my access clipped to each IOP domain
-  /// (the N_coll expansion of §2.3), plus the stream interval they cover.
-  struct ClippedList {
-    std::vector<dt::OlTuple> tuples;  ///< absolute file offsets
-    Off s_lo = 0, s_hi = 0;           ///< stream interval [s_lo, s_hi)
-  };
-  std::vector<ClippedList> clip_lists(Off stream_lo, Off nbytes,
-                                      const std::vector<mpiio::Domain>& doms);
+  class Strategy;
 
   dt::OlList ft_list_;  ///< stored flattened filetype (one instance)
   std::unique_ptr<OlViewNav> nav_;

@@ -1,10 +1,12 @@
 #include "mpiio/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "mpiio/sieve.hpp"
+#include "mpiio/twophase.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "pfs/view_io.hpp"
@@ -33,131 +35,76 @@ Off IoEngine::check_access(Off offset_etypes, const void* buf, Off count,
 }
 
 namespace {
-/// Atomic mode: hold one lock over the whole access span.
-class WholeRangeLock {
- public:
-  WholeRangeLock(bool enabled, pfs::RangeLock& locks, Off lo, Off hi)
-      : enabled_(enabled), locks_(locks), lo_(lo), hi_(hi) {
-    if (enabled_) locks_.lock(lo_, hi_);
-  }
-  ~WholeRangeLock() {
-    if (enabled_) locks_.unlock(lo_, hi_);
-  }
-  WholeRangeLock(const WholeRangeLock&) = delete;
-  WholeRangeLock& operator=(const WholeRangeLock&) = delete;
-
- private:
-  bool enabled_;
-  pfs::RangeLock& locks_;
-  Off lo_, hi_;
-};
-
 // When the backend performs noncontiguous accesses itself (pfs::ViewIo —
 // e.g. psrv view-class servers), ship it the filetype and a dense stream
 // chunk instead of decomposing the access client-side.  The one view call
 // replaces the whole sieve/direct strategy; it is counted as a single
 // file op of payload size (no sieving amplification to report).
-Off viewio_write(pfs::ViewIo& vio, const View& view, const Options& opts,
-                 IoOpStats& stats, Off stream_lo, Off nbytes,
-                 StreamMover& src) {
-  if (const Byte* p = src.direct(0, nbytes)) {
+Off viewio_access(bool writing, pfs::ViewIo& vio, const View& view,
+                  const Options& opts, IoOpStats& stats, Off stream_lo,
+                  Off nbytes, StreamMover& mover) {
+  auto view_io = [&](Off s, Byte* p, Off n) {
     WallTimer t;
-    vio.view_write(view.filetype, view.disp, stream_lo,
-                   ConstByteSpan(p, to_size(nbytes)));
+    if (writing)
+      vio.view_write(view.filetype, view.disp, s, ConstByteSpan(p, to_size(n)));
+    else
+      vio.view_read(view.filetype, view.disp, s, ByteSpan(p, to_size(n)));
     stats.file_s += t.seconds();
-    stats.file_write_ops += 1;
-    stats.file_write_bytes += nbytes;
-    stats.bytes_moved += nbytes;
-    return nbytes;
-  }
-  ByteVec buf(to_size(std::min(nbytes, opts.pack_buffer_size)));
-  for (Off done = 0; done < nbytes;) {
-    const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
-    {
+    (writing ? stats.file_write_ops : stats.file_read_ops) += 1;
+    (writing ? stats.file_write_bytes : stats.file_read_bytes) += n;
+  };
+  Byte* direct = writing ? const_cast<Byte*>(mover.direct(0, nbytes))
+                         : mover.direct_mut(0, nbytes);
+  if (direct != nullptr) {
+    view_io(stream_lo, direct, nbytes);
+  } else {
+    ByteVec buf(to_size(std::min(nbytes, opts.pack_buffer_size)));
+    for (Off done = 0; done < nbytes;) {
+      const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
+      if (!writing) view_io(stream_lo + done, buf.data(), n);
       WallTimer t;
-      src.to_stream(buf.data(), done, n);
+      if (writing)
+        mover.to_stream(buf.data(), done, n);
+      else
+        mover.from_stream(buf.data(), done, n);
       stats.copy_s += t.seconds();
+      if (writing) view_io(stream_lo + done, buf.data(), n);
+      done += n;
     }
-    WallTimer t;
-    vio.view_write(view.filetype, view.disp, stream_lo + done,
-                   ConstByteSpan(buf.data(), to_size(n)));
-    stats.file_s += t.seconds();
-    stats.file_write_ops += 1;
-    stats.file_write_bytes += n;
-    done += n;
-  }
-  stats.bytes_moved += nbytes;
-  return nbytes;
-}
-
-Off viewio_read(pfs::ViewIo& vio, const View& view, const Options& opts,
-                IoOpStats& stats, Off stream_lo, Off nbytes,
-                StreamMover& dst) {
-  if (Byte* p = dst.direct_mut(0, nbytes)) {
-    WallTimer t;
-    vio.view_read(view.filetype, view.disp, stream_lo,
-                  ByteSpan(p, to_size(nbytes)));
-    stats.file_s += t.seconds();
-    stats.file_read_ops += 1;
-    stats.file_read_bytes += nbytes;
-    stats.bytes_moved += nbytes;
-    return nbytes;
-  }
-  ByteVec buf(to_size(std::min(nbytes, opts.pack_buffer_size)));
-  for (Off done = 0; done < nbytes;) {
-    const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
-    {
-      WallTimer t;
-      vio.view_read(view.filetype, view.disp, stream_lo + done,
-                    ByteSpan(buf.data(), to_size(n)));
-      stats.file_s += t.seconds();
-      stats.file_read_ops += 1;
-      stats.file_read_bytes += n;
-    }
-    WallTimer t;
-    dst.from_stream(buf.data(), done, n);
-    stats.copy_s += t.seconds();
-    done += n;
   }
   stats.bytes_moved += nbytes;
   return nbytes;
 }
 }  // namespace
 
-Off IoEngine::indep_write(ViewNav& nav, Off stream_lo, Off nbytes,
-                          StreamMover& src) {
+Off IoEngine::indep_access(bool writing, Off stream_lo, void* buf, Off count,
+                           const dt::Type& mt) {
+  const Off nbytes = count * mt->size();
   if (nbytes <= 0) return 0;
+  const std::unique_ptr<StreamMover> mover = make_mover(buf, count, mt);
+  ViewNav& vnav = nav();
   SieveContext ctx{*file_, *locks_, opts_, stats_, atomic_};
-  const Off abs_lo = view_.disp + nav.stream_to_file_start(stream_lo);
-  if (view_.dense()) {
-    WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_lo + nbytes);
-    return dense_write(ctx, abs_lo, nbytes, src);
-  }
-  const Off abs_hi = view_.disp + nav.stream_to_file_end(stream_lo + nbytes);
-  WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_hi);
+  const Off abs_lo = view_.disp + vnav.stream_to_file_start(stream_lo);
+  const Off abs_hi =
+      view_.dense() ? abs_lo + nbytes
+                    : view_.disp + vnav.stream_to_file_end(stream_lo + nbytes);
+  // Atomic mode: hold one lock over the whole access span.
+  std::optional<pfs::ScopedRangeLock> lock;
+  if (atomic_) lock.emplace(*locks_, abs_lo, abs_hi);
+  if (view_.dense())
+    return writing ? dense_write(ctx, abs_lo, nbytes, *mover)
+                   : dense_read(ctx, abs_lo, nbytes, *mover);
   if (pfs::ViewIo* vio = file_->view_io())
-    return viewio_write(*vio, view_, opts_, stats_, stream_lo, nbytes, src);
-  if (choose_sieving(opts_, /*writing=*/true, nbytes, abs_lo, abs_hi))
-    return sieve_write(ctx, nav, view_.disp, stream_lo, nbytes, src);
-  return direct_write(ctx, nav, view_.disp, stream_lo, nbytes, src);
-}
-
-Off IoEngine::indep_read(ViewNav& nav, Off stream_lo, Off nbytes,
-                         StreamMover& dst) {
-  if (nbytes <= 0) return 0;
-  SieveContext ctx{*file_, *locks_, opts_, stats_, atomic_};
-  const Off abs_lo = view_.disp + nav.stream_to_file_start(stream_lo);
-  if (view_.dense()) {
-    WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_lo + nbytes);
-    return dense_read(ctx, abs_lo, nbytes, dst);
-  }
-  const Off abs_hi = view_.disp + nav.stream_to_file_end(stream_lo + nbytes);
-  WholeRangeLock lock(atomic_, *locks_, abs_lo, abs_hi);
-  if (pfs::ViewIo* vio = file_->view_io())
-    return viewio_read(*vio, view_, opts_, stats_, stream_lo, nbytes, dst);
-  if (choose_sieving(opts_, /*writing=*/false, nbytes, abs_lo, abs_hi))
-    return sieve_read(ctx, nav, view_.disp, stream_lo, nbytes, dst);
-  return direct_read(ctx, nav, view_.disp, stream_lo, nbytes, dst);
+    return viewio_access(writing, *vio, view_, opts_, stats_, stream_lo,
+                         nbytes, *mover);
+  if (choose_sieving(opts_, writing, nbytes, abs_lo, abs_hi))
+    return writing ? sieve_write(ctx, vnav, view_.disp, stream_lo, nbytes,
+                                 *mover)
+                   : sieve_read(ctx, vnav, view_.disp, stream_lo, nbytes,
+                                *mover);
+  return writing
+             ? direct_write(ctx, vnav, view_.disp, stream_lo, nbytes, *mover)
+             : direct_read(ctx, vnav, view_.disp, stream_lo, nbytes, *mover);
 }
 
 std::unique_ptr<StreamMover> IoEngine::make_mover(const void* buf, Off count,
@@ -266,7 +213,7 @@ Off IoEngine::read_at(Off offset_etypes, void* buf, Off count,
   static const std::uint32_t kOpId = obs::Sampler::instance().intern("read_at");
   std::lock_guard op_lock(op_mu_);
   OpTimer op("read_at", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_read_at(stream_lo, buf, count, mt);
+  return indep_access(false, stream_lo, buf, count, mt);
 }
 
 Off IoEngine::write_at(Off offset_etypes, const void* buf, Off count,
@@ -276,7 +223,7 @@ Off IoEngine::write_at(Off offset_etypes, const void* buf, Off count,
       obs::Sampler::instance().intern("write_at");
   std::lock_guard op_lock(op_mu_);
   OpTimer op("write_at", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_write_at(stream_lo, buf, count, mt);
+  return indep_access(true, stream_lo, const_cast<void*>(buf), count, mt);
 }
 
 Off IoEngine::read_at_all(Off offset_etypes, void* buf, Off count,
@@ -286,7 +233,7 @@ Off IoEngine::read_at_all(Off offset_etypes, void* buf, Off count,
       obs::Sampler::instance().intern("read_at_all");
   std::lock_guard op_lock(op_mu_);
   OpTimer op("read_at_all", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_read_at_all(stream_lo, buf, count, mt);
+  return TwoPhase(*this).run(false, stream_lo, buf, count, mt);
 }
 
 Off IoEngine::write_at_all(Off offset_etypes, const void* buf, Off count,
@@ -296,7 +243,8 @@ Off IoEngine::write_at_all(Off offset_etypes, const void* buf, Off count,
       obs::Sampler::instance().intern("write_at_all");
   std::lock_guard op_lock(op_mu_);
   OpTimer op("write_at_all", kOpId, *this, stats_, cumulative_, file_.get());
-  return do_write_at_all(stream_lo, buf, count, mt);
+  return TwoPhase(*this).run(true, stream_lo, const_cast<void*>(buf), count,
+                             mt);
 }
 
 }  // namespace llio::mpiio

@@ -1,9 +1,11 @@
 // Engine interface: one implementation per method (list-based, listless).
 //
 // The File front-end owns one engine per handle and forwards operations.
-// The base class implements argument validation, per-op statistics, and
-// the contiguous-memtype mover; engines supply view handling, the
-// non-contiguous mover, and the independent/collective access paths.
+// The base class implements argument validation, per-op statistics, the
+// contiguous-memtype mover, the independent access path (over the
+// engine's ViewNav) and the collective one (the shared TwoPhase driver);
+// engines supply view handling, their ViewNav, the non-contiguous mover
+// and the two-phase strategy.
 #pragma once
 
 #include <memory>
@@ -101,19 +103,16 @@ class IoEngine {
   /// navigators).  Runs under op_mu_.
   virtual void on_tuning_changed() {}
 
-  virtual Off do_read_at(Off stream_lo, void* buf, Off count,
-                         const dt::Type& mt) = 0;
-  virtual Off do_write_at(Off stream_lo, const void* buf, Off count,
-                          const dt::Type& mt) = 0;
-  virtual Off do_read_at_all(Off stream_lo, void* buf, Off count,
-                             const dt::Type& mt) = 0;
-  virtual Off do_write_at_all(Off stream_lo, const void* buf, Off count,
-                              const dt::Type& mt) = 0;
+  /// Navigation through this rank's own fileview (valid after set_view).
+  virtual ViewNav& nav() = 0;
 
   /// Engine-specific mover for non-contiguous memtypes.
   virtual std::unique_ptr<StreamMover> make_nc_mover(const void* buf,
                                                      Off count,
                                                      const dt::Type& mt) = 0;
+
+  /// The engine's part of one two-phase collective (made per operation).
+  virtual std::unique_ptr<TwoPhaseStrategy> two_phase_strategy() = 0;
 
   /// Contiguous memtypes short-circuit to a ContigMover.
   std::unique_ptr<StreamMover> make_mover(const void* buf, Off count,
@@ -124,11 +123,12 @@ class IoEngine {
   Off check_access(Off offset_etypes, const void* buf, Off count,
                    const dt::Type& mt) const;
 
-  /// Shared independent-access dispatch: dense fast path for contiguous
-  /// views, otherwise data sieving or direct per-run access per the
+  /// Independent write (`writing`) or read of the stream bytes at
+  /// stream_lo: dense fast path for contiguous views, else the backend's
+  /// view I/O, data sieving or direct per-run access per the
   /// ds_write/ds_read strategy (paper §5 trade-off).
-  Off indep_write(ViewNav& nav, Off stream_lo, Off nbytes, StreamMover& src);
-  Off indep_read(ViewNav& nav, Off stream_lo, Off nbytes, StreamMover& dst);
+  Off indep_access(bool writing, Off stream_lo, void* buf, Off count,
+                   const dt::Type& mt);
 
   sim::Comm* comm_;
   pfs::FilePtr file_;
@@ -147,6 +147,8 @@ class IoEngine {
   std::mutex op_mu_;  ///< serializes operations (async vs caller thread)
 
  private:
+  friend class TwoPhase;
+
   obs::LocalRegistry local_metrics_;
 
   /// Sampling dimensions interned once per handle (interning takes a

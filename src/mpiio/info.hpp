@@ -18,7 +18,6 @@
 //                        bypass the exchange for dense disjoint ranges) |
 //                        "off" (always pre-read dirty windows) |
 //                        "force" (never pre-read; unsafe on holey views)
-//   llio_merge_opt       deprecated alias: "enable" = auto, "disable" = off
 //   llio_pipeline_depth  collective windows in flight on the IOP side
 //                        (0 = serial two-phase, >= 2 overlaps file I/O
 //                        with gather/scatter)

@@ -404,5 +404,93 @@ TEST(CollectiveStats, ListlessShipsNoLists) {
             static_cast<std::uint64_t>(P) * P * sizeof(AccessRange));
 }
 
+// Exact per-op traffic of one nc-filetype collective, summed over ranks:
+// the interconnect counters (messages, Meta and Data bytes) and the
+// engine's list/data counters.  The expected values were recorded before
+// the two engines shared one two-phase driver; they pin that the driver
+// ships the same messages and bytes as the two hand-written collectives
+// it replaced, whichever memory path (staged pack or gather/scatter runs)
+// the memtype takes.
+struct TrafficCase {
+  Method method;
+  bool write;
+  bool nc_mem;  // 8-byte-block memtype (staged) vs contiguous (runs)
+  std::uint64_t msgs, meta_bytes, data_bytes;
+  Off list_bytes, io_data_bytes;
+};
+
+class CollectiveTraffic : public ::testing::TestWithParam<TrafficCase> {};
+
+TEST_P(CollectiveTraffic, PerOpTrafficIsPinned) {
+  const TrafficCase tc = GetParam();
+  const int P = 4;
+  const Off nblock = 64, sblock = 8;
+  const Off nbytes = 2 * nblock * sblock;
+  auto fs = pfs::MemFile::create();
+  std::atomic<std::uint64_t> msgs{0}, meta{0}, data{0};
+  std::atomic<Off> list_bytes{0}, io_data{0};
+  sim::Runtime::run(P, [&](sim::Comm& comm) {
+    Options o;
+    o.method = tc.method;
+    o.file_buffer_size = 512;  // four IOP domains of two windows each
+    File f = File::open(comm, fs, o);
+    f.set_view(0, dt::byte(),
+               noncontig_filetype(nblock, sblock, P, comm.rank()));
+    const ByteVec stream = payload_stream(comm.rank(), nbytes);
+    auto nc = make_nc_buffer(stream);
+    const void* wbuf = tc.nc_mem ? static_cast<const void*>(nc.storage.data())
+                                 : static_cast<const void*>(stream.data());
+    const Off count = tc.nc_mem ? nc.count : nbytes;
+    const dt::Type mt = tc.nc_mem ? nc.memtype : dt::byte();
+    if (!tc.write) {
+      EXPECT_EQ(f.write_at_all(0, wbuf, count, mt), nbytes);
+    }
+    ByteVec rbuf(tc.nc_mem ? nc.storage.size() : stream.size(), Byte{0});
+    comm.barrier();
+    comm.reset_stats();
+    if (tc.write) {
+      EXPECT_EQ(f.write_at_all(0, wbuf, count, mt), nbytes);
+    } else {
+      EXPECT_EQ(f.read_at_all(0, rbuf.data(), count, mt), nbytes);
+      if (tc.nc_mem) {
+        nc.storage = rbuf;
+        EXPECT_EQ(iotest::nc_buffer_stream(nc), stream);
+      } else {
+        EXPECT_EQ(rbuf, stream);
+      }
+    }
+    const sim::CommStats s = comm.stats();
+    msgs.fetch_add(s.msgs_sent);
+    meta.fetch_add(s.meta_bytes_sent);
+    data.fetch_add(s.data_bytes_sent);
+    list_bytes.fetch_add(f.last_stats().list_bytes_sent);
+    io_data.fetch_add(f.last_stats().data_bytes_sent);
+  });
+  EXPECT_EQ(msgs.load(), tc.msgs);
+  EXPECT_EQ(meta.load(), tc.meta_bytes);
+  EXPECT_EQ(data.load(), tc.data_bytes);
+  EXPECT_EQ(list_bytes.load(), tc.list_bytes);
+  EXPECT_EQ(io_data.load(), tc.io_data_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMethods, CollectiveTraffic,
+    ::testing::Values(
+        TrafficCase{Method::ListBased, true, true, 36, 6816, 3072, 8192, 4096},
+        TrafficCase{Method::ListBased, true, false, 36, 6816, 3072, 8192, 4096},
+        TrafficCase{Method::ListBased, false, true, 36, 6816, 3072, 8192, 4096},
+        TrafficCase{Method::ListBased, false, false, 36, 6816, 3072, 8192, 4096},
+        TrafficCase{Method::Listless, true, true, 24, 384, 3264, 0, 4096},
+        TrafficCase{Method::Listless, true, false, 24, 384, 3264, 0, 4096},
+        TrafficCase{Method::Listless, false, true, 36, 576, 3072, 0, 4096},
+        TrafficCase{Method::Listless, false, false, 36, 576, 3072, 0, 4096}),
+    [](const ::testing::TestParamInfo<TrafficCase>& pinfo) {
+      const TrafficCase& c = pinfo.param;
+      std::string s = c.method == Method::ListBased ? "list" : "listless";
+      s += c.write ? "_write" : "_read";
+      s += c.nc_mem ? "_ncmem" : "_cmem";
+      return s;
+    });
+
 }  // namespace
 }  // namespace llio::mpiio

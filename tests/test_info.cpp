@@ -61,12 +61,10 @@ TEST(ApplyInfo, DataSievingStrategies) {
 }
 
 TEST(ApplyInfo, CbNodesAndMergeOpt) {
-  // llio_merge_opt is the deprecated alias of llio_merge_contig.
-  Options o = apply_info(
+  // llio_merge_opt is not a hint: it is ignored like any unknown key.
+  const Options o = apply_info(
       Info{{"cb_nodes", "2"}, {"llio_merge_opt", "disable"}}, {});
   EXPECT_EQ(o.io_procs, 2);
-  EXPECT_EQ(o.merge_contig, MergeContig::Off);
-  o = apply_info(Info{{"llio_merge_opt", "enable"}}, {});
   EXPECT_EQ(o.merge_contig, MergeContig::Auto);
 }
 

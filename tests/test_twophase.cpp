@@ -1,10 +1,13 @@
 // Unit tests for the two-phase helpers (file domains, access-range
-// exchange), the View machinery, and the OlWalker baseline primitive.
+// exchange, the engines' descriptor decoders), the View machinery, and
+// the OlWalker baseline primitive.
 #include <gtest/gtest.h>
 
 #include <limits>
 
+#include "core/listless_engine.hpp"
 #include "io_test_util.hpp"
+#include "listio/list_engine.hpp"
 #include "listio/ol_walker.hpp"
 #include "mpiio/twophase.hpp"
 #include "mpiio/view.hpp"
@@ -235,6 +238,116 @@ TEST(CumulativeStats, AccumulatesAcrossOps) {
     EXPECT_EQ(f.cumulative_stats().file_write_bytes, 200);
     EXPECT_GE(f.cumulative_stats().total_s, f.last_stats().total_s);
   });
+}
+
+// --- Descriptor decoders: every malformed message is Errc::Protocol ---
+
+/// Run `fn` and expect it to throw llio::Error with Errc::Protocol.
+template <class Fn>
+void expect_protocol(Fn&& fn, const char* what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": decoded without error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::Protocol) << what << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": threw a non-llio exception: " << e.what();
+  }
+}
+
+/// Wire form of an ol-list descriptor; `n` may lie about the tuple count.
+ByteVec ol_msg(Off s_lo, Off s_hi, Off n, std::vector<dt::OlTuple> tuples) {
+  ByteVec m;
+  put_off(m, s_lo);
+  put_off(m, s_hi);
+  put_off(m, n);
+  for (const dt::OlTuple& t : tuples) {
+    put_off(m, t.off);
+    put_off(m, t.len);
+  }
+  return m;
+}
+
+ByteVec slice_msg(Off s1, Off s2, std::size_t payload) {
+  ByteVec m;
+  put_off(m, s1);
+  put_off(m, s2);
+  m.resize(m.size() + payload, Byte{7});
+  return m;
+}
+
+// The sender accessed stream bytes [0, 1000); the receiving IOP owns file
+// bytes [100, 600).
+const AccessRange kSender{0, 1000, 100, 2000};
+const Domain kDom{100, 600};
+
+TEST(DescriptorDecode, OlListWellFormedRoundTrips) {
+  const ByteVec m = ol_msg(10, 40, 2, {{100, 10}, {200, 20}});
+  const listio::OlDescriptor d = listio::decode_ol_list(m, kSender, kDom);
+  EXPECT_EQ(d.s_lo, 10);
+  EXPECT_EQ(d.s_hi, 40);
+  ASSERT_EQ(d.tuples.size(), 2u);
+  EXPECT_EQ(d.tuples[1], (dt::OlTuple{200, 20}));
+  // An empty list for an empty slice is well formed too.
+  const ByteVec empty = ol_msg(5, 5, 0, {});
+  EXPECT_TRUE(listio::decode_ol_list(empty, kSender, kDom).tuples.empty());
+}
+
+TEST(DescriptorDecode, OlListMalformedIsProtocolError) {
+  auto dec = [](const ByteVec& m) {
+    return [m] { listio::decode_ol_list(m, kSender, kDom); };
+  };
+  // A tuple count whose byte size wraps size_t onto the real size: 24 + 16
+  // bytes claiming 2^61 + 1 tuples ((3 + 2n) * 8 == 40 mod 2^64).
+  expect_protocol(dec(ol_msg(0, 10, (Off{1} << 61) + 1, {{100, 10}})),
+                  "wrapping tuple count");
+  expect_protocol(dec(ol_msg(0, 10, -1, {{100, 10}})), "negative count");
+  expect_protocol(dec(ol_msg(0, 10, 2, {{100, 10}})), "count > tuples");
+  expect_protocol(dec(ol_msg(0, 10, 0, {{100, 10}})), "count < tuples");
+  ByteVec odd = ol_msg(0, 10, 1, {{100, 10}});
+  odd.push_back(Byte{0});
+  expect_protocol(dec(odd), "trailing byte");
+  expect_protocol(dec(ByteVec(20, Byte{0})), "short header");
+  expect_protocol(dec(ol_msg(20, 10, 0, {})), "s_hi < s_lo");
+  expect_protocol(dec(ol_msg(0, 30, 1, {{100, 10}})), "sum short of slice");
+  expect_protocol(dec(ol_msg(0, 5, 1, {{100, 10}})), "sum past slice");
+  expect_protocol(dec(ol_msg(0, 20, 2, {{200, 10}, {100, 10}})),
+                  "descending tuples");
+  expect_protocol(dec(ol_msg(0, 20, 2, {{100, 10}, {105, 10}})),
+                  "overlapping tuples");
+  expect_protocol(dec(ol_msg(0, 10, 1, {{50, 10}})), "tuple below domain");
+  expect_protocol(dec(ol_msg(0, 10, 1, {{595, 10}})), "tuple past domain");
+  expect_protocol(dec(ol_msg(0, 0, 1, {{100, 0}})), "empty tuple");
+  expect_protocol(
+      dec(ol_msg(0, 10, 2,
+                 {{100, 10}, {200, std::numeric_limits<Off>::max()}})),
+      "overflowing tuple length");
+  expect_protocol(dec(ol_msg(990, 1010, 1, {{100, 20}})),
+                  "slice past the sender's access");
+}
+
+TEST(DescriptorDecode, StreamSliceWellFormedRoundTrips) {
+  EXPECT_EQ(core::decode_stream_slice(slice_msg(10, 40, 0), false, kSender),
+            (std::pair<Off, Off>{10, 40}));
+  EXPECT_EQ(core::decode_stream_slice(slice_msg(10, 40, 30), true, kSender),
+            (std::pair<Off, Off>{10, 40}));
+}
+
+TEST(DescriptorDecode, StreamSliceMalformedIsProtocolError) {
+  auto dec = [](const ByteVec& m, bool payload) {
+    return [m, payload] { core::decode_stream_slice(m, payload, kSender); };
+  };
+  expect_protocol(dec(ByteVec(15, Byte{0}), false), "short request");
+  expect_protocol(dec(slice_msg(10, 40, 1), false), "request + trailing byte");
+  expect_protocol(dec(slice_msg(10, 40, 29), true), "short payload");
+  expect_protocol(dec(slice_msg(10, 40, 31), true), "long payload");
+  expect_protocol(dec(slice_msg(40, 10, 0), false), "s2 < s1");
+  expect_protocol(dec(slice_msg(0, std::numeric_limits<Off>::max(), 16), true),
+                  "huge slice");
+  expect_protocol(dec(slice_msg(990, 1010, 20), true),
+                  "slice past the sender's access");
+  expect_protocol(dec(slice_msg(-5, 5, 10), true),
+                  "slice before the sender's access");
 }
 
 }  // namespace
