@@ -20,6 +20,10 @@
 // translation wins; as the wire slows, bytes-on-the-wire dominate and
 // server-view's metadata edge over client-list (a compact tree instead
 // of per-extent ol-lists) widens into the bandwidth lead.
+//
+// The committed baseline BENCH_servers.json is this bench's output
+// filtered with `sed -n 's/^json-schema://p;s/^json-host://p;s/^json://p'`:
+// the schema, the host it was measured on, then one row per point.
 #include "bench_common.hpp"
 #include "psrv/server_file.hpp"
 
@@ -59,6 +63,7 @@ int main() {
       "\"wire_bytes_per_op\":\"int\",\"data_bytes_per_op\":\"int\","
       "\"meta_bytes_per_op\":\"int\",\"msgs_per_op\":\"number\","
       "\"repeats\":\"int\"}\n");
+  std::printf("json-host:{\"host\":%s}\n", host_json().c_str());
   std::string json;
   for (const auto& net : sim::standard_cost_models()) {
     if (net.first == "shared-mem") continue;  // free wire: nothing to rank

@@ -22,6 +22,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/utsname.h>
+#include <unistd.h>
+
 #include "adapt/advisor.hpp"
 #include "common/format.hpp"
 #include "common/timer.hpp"
@@ -394,6 +397,23 @@ class Table {
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// The host a committed baseline was measured on, as one JSON object:
+/// numbers from different hosts are not compared.
+inline std::string host_json() {
+  struct utsname u {};
+  uname(&u);
+#ifdef NDEBUG
+  const bool optimized = true;
+#else
+  const bool optimized = false;
+#endif
+  return strprintf(
+      "{\"nproc\":%ld,\"kernel\":\"%s\",\"machine\":\"%s\","
+      "\"compiler\":\"%s\",\"ndebug\":%s}",
+      sysconf(_SC_NPROCESSORS_ONLN), u.release, u.machine, __VERSION__,
+      optimized ? "true" : "false");
+}
 
 inline std::string fmt_mbps(double v) {
   return v >= 100 ? strprintf("%.0f", v)

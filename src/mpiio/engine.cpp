@@ -97,14 +97,8 @@ Off IoEngine::indep_access(bool writing, Off stream_lo, void* buf, Off count,
   if (pfs::ViewIo* vio = file_->view_io())
     return viewio_access(writing, *vio, view_, opts_, stats_, stream_lo,
                          nbytes, *mover);
-  if (choose_sieving(opts_, writing, nbytes, abs_lo, abs_hi))
-    return writing ? sieve_write(ctx, vnav, view_.disp, stream_lo, nbytes,
-                                 *mover)
-                   : sieve_read(ctx, vnav, view_.disp, stream_lo, nbytes,
-                                *mover);
-  return writing
-             ? direct_write(ctx, vnav, view_.disp, stream_lo, nbytes, *mover)
-             : direct_read(ctx, vnav, view_.disp, stream_lo, nbytes, *mover);
+  return sieve_or_direct(ctx, writing, vnav, view_.disp, stream_lo, nbytes,
+                         abs_lo, abs_hi, *mover);
 }
 
 std::unique_ptr<StreamMover> IoEngine::make_mover(const void* buf, Off count,

@@ -26,6 +26,9 @@ struct IoOpStats {
   Off file_write_bytes = 0;  ///< bytes actually written to storage
   std::uint64_t file_read_ops = 0;
   std::uint64_t file_write_ops = 0;
+  std::uint64_t file_extents = 0;  ///< file ranges a non-dense independent
+                                   ///< access issued: one per sieve window
+                                   ///< or direct run
 
   Off list_bytes_sent = 0;  ///< ol-list exchange volume (list-based only)
   Off data_bytes_sent = 0;  ///< data exchange volume (collective)
@@ -77,6 +80,7 @@ struct IoOpStats {
     file_write_bytes += o.file_write_bytes;
     file_read_ops += o.file_read_ops;
     file_write_ops += o.file_write_ops;
+    file_extents += o.file_extents;
     list_bytes_sent += o.list_bytes_sent;
     data_bytes_sent += o.data_bytes_sent;
     list_mem_bytes = list_mem_bytes > o.list_mem_bytes ? list_mem_bytes

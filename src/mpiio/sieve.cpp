@@ -122,109 +122,153 @@ void timed_pwritev(SieveContext& ctx, std::span<const pfs::ConstIoVec> iov) {
   ctx.stats.file_write_ops += 1;
 }
 
-Off sieve_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-                Off nbytes, StreamMover& src) {
-  if (nbytes <= 0) return 0;
-  const Off abs_lo = disp + nav.stream_to_file_start(stream_lo);
-  const Off abs_hi = disp + nav.stream_to_file_end(stream_lo + nbytes);
+namespace {
+
+// The data-sieving window loop (paper §2.2): per file_buffer_size window
+// of [abs_lo, abs_hi), pre-read it (a write skips that when its data
+// covers the window), move the window's stream bytes with one fotf
+// scatter/gather, and write a write's window back.
+Off sieve_access(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
+                 Off stream_lo, Off nbytes, Off abs_lo, Off abs_hi,
+                 StreamMover& mover) {
   const Off fbs = ctx.opts.file_buffer_size;
   ByteVec fbuf(to_size(std::min(fbs, abs_hi - abs_lo)));
   ByteVec packbuf;
 
   Off done = 0;
-  Off pos = abs_lo;
-  while (pos < abs_hi) {
+  for (Off pos = abs_lo; pos < abs_hi;) {
     const Off win_hi = std::min(abs_hi, pos + fbs);
     const Off win = win_hi - pos;
+    const Off bias = pos - disp;
     const Off avail = nav.file_to_stream(win_hi - disp) - (stream_lo + done);
     LLIO_ASSERT(avail >= 0 && avail <= nbytes - done,
-                "sieve_write: bad window stream count");
+                "sieve: bad window stream count");
     if (avail == 0) {
       pos = win_hi;
       continue;
     }
     std::optional<pfs::ScopedRangeLock> lock;
-    if (!ctx.whole_range_locked) lock.emplace(ctx.locks, pos, win_hi);
-    const bool covered = avail == win;
-    if (!covered || !ctx.opts.sieve_skip_covered_read)
+    if (writing && !ctx.whole_range_locked)
+      lock.emplace(ctx.locks, pos, win_hi);
+    if (!writing || avail != win || !ctx.opts.sieve_skip_covered_read)
       timed_pread_zero_fill(ctx, pos, ByteSpan(fbuf.data(), to_size(win)));
 
     StopWatch copy;
     copy.start();
-    if (const Byte* direct = src.direct(done, avail)) {
-      nav.scatter(fbuf.data(), pos - disp, stream_lo + done, direct, avail);
+    const Off s = stream_lo + done;
+    if (const Byte* src = writing ? mover.direct(done, avail) : nullptr) {
+      nav.scatter(fbuf.data(), bias, s, src, avail);
+    } else if (Byte* dst = writing ? nullptr : mover.direct_mut(done, avail)) {
+      nav.gather(dst, fbuf.data(), bias, s, avail);
     } else {
       if (packbuf.empty())
         packbuf.resize(to_size(ctx.opts.pack_buffer_size));
-      Off sub = 0;
-      while (sub < avail) {
-        const Off n =
-            std::min<Off>(to_off(packbuf.size()), avail - sub);
-        src.to_stream(packbuf.data(), done + sub, n);
-        nav.scatter(fbuf.data(), pos - disp, stream_lo + done + sub,
-                    packbuf.data(), n);
+      for (Off sub = 0; sub < avail;) {
+        const Off n = std::min<Off>(to_off(packbuf.size()), avail - sub);
+        if (writing) {
+          mover.to_stream(packbuf.data(), done + sub, n);
+          nav.scatter(fbuf.data(), bias, s + sub, packbuf.data(), n);
+        } else {
+          nav.gather(packbuf.data(), fbuf.data(), bias, s + sub, n);
+          mover.from_stream(packbuf.data(), done + sub, n);
+        }
         sub += n;
       }
     }
     copy.stop();
     ctx.stats.copy_s += copy.seconds();
 
-    timed_pwrite(ctx, pos, ConstByteSpan(fbuf.data(), to_size(win)));
+    if (writing)
+      timed_pwrite(ctx, pos, ConstByteSpan(fbuf.data(), to_size(win)));
+    ctx.stats.file_extents += 1;
     done += avail;
     pos = win_hi;
   }
-  LLIO_ASSERT(done == nbytes, "sieve_write: stream not exhausted");
+  LLIO_ASSERT(done == nbytes, "sieve: stream not exhausted");
   ctx.stats.bytes_moved += nbytes;
   return nbytes;
 }
 
-Off sieve_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-               Off nbytes, StreamMover& dst) {
-  if (nbytes <= 0) return 0;
-  const Off abs_lo = disp + nav.stream_to_file_start(stream_lo);
-  const Off abs_hi = disp + nav.stream_to_file_end(stream_lo + nbytes);
-  const Off fbs = ctx.opts.file_buffer_size;
-  ByteVec fbuf(to_size(std::min(fbs, abs_hi - abs_lo)));
-  ByteVec packbuf;
+// Direct (non-sieving) access: one *vectored* file access per
+// iov_batch_max contiguous runs instead of one syscall per run.  Runs
+// whose user memory is contiguous are referenced in place; others are
+// staged (packed before a write, unpacked after a read).  Staged runs
+// record stage *offsets* (not pointers) so the stage buffer may grow
+// while a batch accumulates.
+Off direct_access(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
+                  Off stream_lo, Off nbytes, StreamMover& mover) {
+  struct Seg {
+    Off off;    ///< absolute file offset
+    Byte* ptr;  ///< direct user memory, or nullptr if staged
+    Off stage_off;
+    Off rel;  ///< stream-relative offset
+    Off len;
+  };
+  const std::size_t batch_max =
+      to_size(std::max<Off>(1, ctx.opts.iov_batch_max));
+  std::vector<Seg> segs;
+  ByteVec stage;
+  std::vector<pfs::IoVec> iov;
+  std::vector<pfs::ConstIoVec> civ;
+  StopWatch copy;
 
-  Off done = 0;
-  Off pos = abs_lo;
-  while (pos < abs_hi) {
-    const Off win_hi = std::min(abs_hi, pos + fbs);
-    const Off win = win_hi - pos;
-    const Off avail = nav.file_to_stream(win_hi - disp) - (stream_lo + done);
-    LLIO_ASSERT(avail >= 0 && avail <= nbytes - done,
-                "sieve_read: bad window stream count");
-    if (avail == 0) {
-      pos = win_hi;
-      continue;
+  auto flush = [&] {
+    if (segs.empty()) return;
+    iov.clear();
+    civ.clear();
+    for (const Seg& g : segs) {
+      const ByteSpan buf(g.ptr ? g.ptr : stage.data() + g.stage_off,
+                         to_size(g.len));
+      if (writing)
+        civ.push_back({g.off, buf});
+      else
+        iov.push_back({g.off, buf});
     }
-    timed_pread_zero_fill(ctx, pos, ByteSpan(fbuf.data(), to_size(win)));
-
-    StopWatch copy;
-    copy.start();
-    if (Byte* direct = dst.direct_mut(done, avail)) {
-      nav.gather(direct, fbuf.data(), pos - disp, stream_lo + done, avail);
+    if (writing) {
+      timed_pwritev(ctx, civ);
     } else {
-      if (packbuf.empty())
-        packbuf.resize(to_size(ctx.opts.pack_buffer_size));
-      Off sub = 0;
-      while (sub < avail) {
-        const Off n =
-            std::min<Off>(to_off(packbuf.size()), avail - sub);
-        nav.gather(packbuf.data(), fbuf.data(), pos - disp,
-                   stream_lo + done + sub, n);
-        dst.from_stream(packbuf.data(), done + sub, n);
-        sub += n;
-      }
+      timed_preadv_zero_fill(ctx, iov);
+      copy.start();
+      for (const Seg& g : segs)
+        if (!g.ptr) mover.from_stream(stage.data() + g.stage_off, g.rel, g.len);
+      copy.stop();
     }
-    copy.stop();
-    ctx.stats.copy_s += copy.seconds();
+    ctx.stats.file_extents += segs.size();
+    segs.clear();
+    stage.clear();
+  };
 
-    done += avail;
-    pos = win_hi;
-  }
-  LLIO_ASSERT(done == nbytes, "sieve_read: stream not exhausted");
+  nav.for_each_segment(
+      stream_lo, nbytes, [&](Off mem, Off stream, Off len) {
+        const Off rel = stream - stream_lo;
+        // A write only reads through `direct`.
+        if (Byte* direct = writing ? const_cast<Byte*>(mover.direct(rel, len))
+                                   : mover.direct_mut(rel, len)) {
+          segs.push_back({disp + mem, direct, 0, rel, len});
+          if (segs.size() >= batch_max) flush();
+          return;
+        }
+        for (Off sub = 0; sub < len;) {
+          const Off room = ctx.opts.pack_buffer_size - to_off(stage.size());
+          if (room <= 0) {
+            flush();
+            continue;
+          }
+          const Off n = std::min(len - sub, room);
+          const Off at = to_off(stage.size());
+          stage.resize(to_size(at + n));
+          if (writing) {
+            copy.start();
+            mover.to_stream(stage.data() + at, rel + sub, n);
+            copy.stop();
+          }
+          segs.push_back({disp + mem + sub, nullptr, at, rel + sub, n});
+          sub += n;
+          if (segs.size() >= batch_max) flush();
+        }
+      });
+  flush();
+  ctx.stats.copy_s += copy.seconds();
   ctx.stats.bytes_moved += nbytes;
   return nbytes;
 }
@@ -246,130 +290,16 @@ bool choose_sieving(const Options& opts, bool writing, Off nbytes, Off abs_lo,
   return true;
 }
 
-Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-                 Off nbytes, StreamMover& src) {
-  // One *vectored* file access per iov_batch_max contiguous runs instead
-  // of one syscall per run.  Segments whose user memory is contiguous are
-  // referenced in place; others are packed into a stage buffer.  Staged
-  // segments record stage *offsets* (not pointers) so the stage buffer
-  // may grow while a batch accumulates.
+}  // namespace
+
+Off sieve_or_direct(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
+                    Off stream_lo, Off nbytes, Off abs_lo, Off abs_hi,
+                    StreamMover& mover) {
   if (nbytes <= 0) return 0;
-  struct Seg {
-    Off off;          ///< absolute file offset
-    const Byte* ptr;  ///< direct user memory, or nullptr if staged
-    Off stage_off;
-    Off len;
-  };
-  const std::size_t batch_max =
-      to_size(std::max<Off>(1, ctx.opts.iov_batch_max));
-  std::vector<Seg> segs;
-  ByteVec stage;
-  std::vector<pfs::ConstIoVec> iov;
-  StopWatch copy;
-
-  auto flush = [&] {
-    if (segs.empty()) return;
-    iov.clear();
-    for (const Seg& s : segs)
-      iov.push_back({s.off,
-                     ConstByteSpan(s.ptr ? s.ptr : stage.data() + s.stage_off,
-                                   to_size(s.len))});
-    timed_pwritev(ctx, iov);
-    segs.clear();
-    stage.clear();
-  };
-
-  nav.for_each_segment(
-      stream_lo, nbytes, [&](Off mem, Off stream, Off len) {
-        const Off rel = stream - stream_lo;
-        if (const Byte* direct = src.direct(rel, len)) {
-          segs.push_back({disp + mem, direct, 0, len});
-          if (segs.size() >= batch_max) flush();
-          return;
-        }
-        Off sub = 0;
-        while (sub < len) {
-          const Off room = ctx.opts.pack_buffer_size - to_off(stage.size());
-          if (room <= 0) {
-            flush();
-            continue;
-          }
-          const Off n = std::min(len - sub, room);
-          const Off at = to_off(stage.size());
-          stage.resize(to_size(at + n));
-          copy.start();
-          src.to_stream(stage.data() + at, rel + sub, n);
-          copy.stop();
-          segs.push_back({disp + mem + sub, nullptr, at, n});
-          sub += n;
-          if (segs.size() >= batch_max) flush();
-        }
-      });
-  flush();
-  ctx.stats.copy_s += copy.seconds();
-  ctx.stats.bytes_moved += nbytes;
-  return nbytes;
-}
-
-Off direct_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-                Off nbytes, StreamMover& dst) {
-  if (nbytes <= 0) return 0;
-  struct Seg {
-    Off off;    ///< absolute file offset
-    Byte* ptr;  ///< direct user memory, or nullptr if staged
-    Off stage_off;
-    Off rel;  ///< stream-relative offset, for from_stream after the read
-    Off len;
-  };
-  const std::size_t batch_max =
-      to_size(std::max<Off>(1, ctx.opts.iov_batch_max));
-  std::vector<Seg> segs;
-  ByteVec stage;
-  std::vector<pfs::IoVec> iov;
-  StopWatch copy;
-
-  auto flush = [&] {
-    if (segs.empty()) return;
-    iov.clear();
-    for (const Seg& s : segs)
-      iov.push_back({s.off, ByteSpan(s.ptr ? s.ptr : stage.data() + s.stage_off,
-                                     to_size(s.len))});
-    timed_preadv_zero_fill(ctx, iov);
-    copy.start();
-    for (const Seg& s : segs)
-      if (!s.ptr) dst.from_stream(stage.data() + s.stage_off, s.rel, s.len);
-    copy.stop();
-    segs.clear();
-    stage.clear();
-  };
-
-  nav.for_each_segment(
-      stream_lo, nbytes, [&](Off mem, Off stream, Off len) {
-        const Off rel = stream - stream_lo;
-        if (Byte* direct = dst.direct_mut(rel, len)) {
-          segs.push_back({disp + mem, direct, 0, 0, len});
-          if (segs.size() >= batch_max) flush();
-          return;
-        }
-        Off sub = 0;
-        while (sub < len) {
-          const Off room = ctx.opts.pack_buffer_size - to_off(stage.size());
-          if (room <= 0) {
-            flush();
-            continue;
-          }
-          const Off n = std::min(len - sub, room);
-          const Off at = to_off(stage.size());
-          stage.resize(to_size(at + n));
-          segs.push_back({disp + mem + sub, nullptr, at, rel + sub, n});
-          sub += n;
-          if (segs.size() >= batch_max) flush();
-        }
-      });
-  flush();
-  ctx.stats.copy_s += copy.seconds();
-  ctx.stats.bytes_moved += nbytes;
-  return nbytes;
+  if (choose_sieving(ctx.opts, writing, nbytes, abs_lo, abs_hi))
+    return sieve_access(ctx, writing, nav, disp, stream_lo, nbytes, abs_lo,
+                        abs_hi, mover);
+  return direct_access(ctx, writing, nav, disp, stream_lo, nbytes, mover);
 }
 
 Off dense_write(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& src) {

@@ -19,19 +19,26 @@ struct SieveContext {
   const Options& opts;
   IoOpStats& stats;
   /// True when the caller already holds a lock covering the whole access
-  /// (atomic mode); the sieving loop must then skip its window locks.
+  /// (atomic mode) or alone accesses the file (a psrv server's shard);
+  /// the sieving loop must then skip its window locks.
   bool whole_range_locked = false;
 };
 
-/// Write `nbytes` of the user stream through a non-contiguous view whose
-/// stream starts at `stream_lo` (= offset_etypes * size(etype)).
-/// Returns bytes written.
-Off sieve_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-                Off nbytes, StreamMover& src);
-
-/// Read counterpart; short data beyond EOF reads back as zeros.
-Off sieve_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-               Off nbytes, StreamMover& dst);
+/// A non-dense independent access of `nbytes` stream bytes of a view
+/// whose stream starts at `stream_lo` (= offset_etypes * size(etype)),
+/// spanning the file range [abs_lo, abs_hi).  The opts' ds_write/ds_read
+/// pick the strategy (Automatic: sieve when the access fills at least
+/// sieve_min_fill of its span):
+///   sieving — the paper's §2.2 skeleton: per file_buffer_size window,
+///             pre-read, one fotf scatter/gather, write back;
+///   direct  — one vectored file access per iov_batch_max contiguous
+///             runs, the other side of the trade-off the paper's §5
+///             marks as future work: better when the view is sparse,
+///             worse when runs are tiny.
+/// Reads zero-fill data beyond EOF.  Returns bytes moved.
+Off sieve_or_direct(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
+                    Off stream_lo, Off nbytes, Off abs_lo, Off abs_hi,
+                    StreamMover& mover);
 
 /// Dense-view fast paths: the access maps to one contiguous file range
 /// starting at `abs_lo`.  With llio_zerocopy=auto, a mover that yields
@@ -47,20 +54,6 @@ inline RunBudget zerocopy_budget(const Options& opts) {
       opts.zerocopy_max_runs > 0 ? to_size(opts.zerocopy_max_runs) : 1,
       opts.zerocopy_min_run};
 }
-
-/// Direct (non-sieving) non-contiguous access: one file access per
-/// contiguous run.  This is the other side of the sieving trade-off the
-/// paper's §5 marks as future work — better when the view is sparse
-/// (sieving would read/write mostly gaps), worse when runs are tiny.
-Off direct_write(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-                 Off nbytes, StreamMover& src);
-Off direct_read(SieveContext& ctx, ViewNav& nav, Off disp, Off stream_lo,
-                Off nbytes, StreamMover& dst);
-
-/// Strategy choice for an independent access spanning [abs_lo, abs_hi)
-/// moving nbytes of data: true = sieve, false = direct.
-bool choose_sieving(const Options& opts, bool writing, Off nbytes, Off abs_lo,
-                    Off abs_hi);
 
 /// Timed storage accesses (shared with the collective paths):
 /// pread zero-fills past EOF — the view is logically sparse.

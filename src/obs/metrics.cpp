@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -51,8 +52,15 @@ void histogram_bucket_bounds(int idx, long long& lo, long long& hi) {
   }
   const int msb = 4 + (idx - 16) / 4;
   const int sub = (idx - 16) % 4;
-  lo = (1LL << msb) + static_cast<long long>(sub) * (1LL << (msb - 2));
-  hi = lo + (1LL << (msb - 2)) - 1;
+  // Unsigned: the top buckets reach 2^63 and beyond, which long long
+  // cannot hold; their bounds saturate at LLONG_MAX.
+  const unsigned long long step = 1ULL << (msb - 2);
+  const unsigned long long ulo =
+      (1ULL << msb) + static_cast<unsigned long long>(sub) * step;
+  constexpr auto kMax =
+      static_cast<unsigned long long>(std::numeric_limits<long long>::max());
+  lo = static_cast<long long>(std::min(ulo, kMax));
+  hi = static_cast<long long>(std::min(ulo + (step - 1), kMax));
 }
 
 namespace {

@@ -66,6 +66,8 @@ struct Sampler::Ring {
 Sampler::Sampler()
     : enabled_(sample_from_env()), ring_(new Ring(ring_from_env())) {}
 
+Sampler::~Sampler() = default;
+
 Sampler& Sampler::instance() {
   static Sampler* s = new Sampler;  // leaked: recordings may outlive main
   return *s;
@@ -75,12 +77,15 @@ void Sampler::set_enabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
+void Sampler::replace_ring(std::size_t n) {
+  auto fresh = std::make_unique<Ring>(n);
+  std::lock_guard lock(retired_mu_);
+  retired_.emplace_back(
+      ring_.exchange(fresh.release(), std::memory_order_acq_rel));
+}
+
 void Sampler::set_capacity(std::size_t n) {
-  if (n < 1) n = 1;
-  // The old ring is leaked on purpose: writers may still hold its
-  // pointer, and capacity changes are rare config-time events — a
-  // use-after-free guard would cost the hot path more than the leak.
-  ring_.store(new Ring(n), std::memory_order_release);
+  replace_ring(std::max<std::size_t>(n, 1));
 }
 
 std::size_t Sampler::capacity() const {
@@ -178,7 +183,7 @@ MetricsSnapshot Sampler::snapshot_since(std::uint64_t min_seq) const {
 }
 
 void Sampler::reset() {
-  ring_.store(new Ring(capacity()), std::memory_order_release);
+  replace_ring(capacity());
   produced_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }

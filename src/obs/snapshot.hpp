@@ -34,6 +34,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -107,14 +109,22 @@ class Sampler {
 
  private:
   Sampler();
+  ~Sampler();
 
   struct Slot;
   struct Ring;
+
+  /// Swap in an empty ring of `n` slots.  The old one is retired, not
+  /// freed: writers may still hold its pointer, and a use-after-free
+  /// guard would cost the hot path more than keeping it.
+  void replace_ring(std::size_t n);
 
   std::atomic<bool> enabled_;
   std::atomic<Ring*> ring_;
   std::atomic<std::uint64_t> produced_{0};
   std::atomic<std::uint64_t> dropped_{0};
+  std::mutex retired_mu_;
+  std::vector<std::unique_ptr<Ring>> retired_;  ///< guarded by retired_mu_
 };
 
 }  // namespace llio::obs

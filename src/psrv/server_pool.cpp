@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -13,6 +14,8 @@
 #include "common/timer.hpp"
 #include "core/listless_nav.hpp"
 #include "dtype/serialize.hpp"
+#include "fotf/navigate.hpp"
+#include "mpiio/sieve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pfs/mem_file.hpp"
@@ -402,6 +405,33 @@ bool touches_leases(wire::Op op) {
   }
 }
 
+/// How a server moves view data: the engine's independent-access defaults
+/// (4 MiB sieve windows) with the fill rule choosing sieve or direct I/O.
+const mpiio::Options kViewOptions = [] {
+  mpiio::Options o;
+  o.ds_read = mpiio::Sieving::Automatic;
+  o.ds_write = mpiio::Sieving::Automatic;
+  return o;
+}();
+
+/// File span [lo, hi) of view stream bytes [stream_lo, stream_lo + n),
+/// n > 0, of the navigable `ft` displaced by `disp` >= 0.  Stream byte b
+/// lies below (b / size) * extent + true_ub; that bound is checked first,
+/// so navigation cannot overflow either.  Errc::Protocol on overflow.
+std::pair<Off, Off> view_file_span(core::ListlessNav& nav, const dt::Node& ft,
+                                   Off disp, Off stream_lo, Off n) {
+  Off s_hi = 0, bound = 0, lo = 0, hi = 0;
+  const bool overflow =
+      __builtin_add_overflow(stream_lo, n, &s_hi) ||
+      __builtin_mul_overflow((s_hi - 1) / ft.size(), ft.extent(), &bound) ||
+      __builtin_add_overflow(bound, ft.true_ub(), &bound) ||
+      __builtin_add_overflow(disp, bound, &bound) ||
+      __builtin_add_overflow(disp, nav.stream_to_file_start(stream_lo), &lo) ||
+      __builtin_add_overflow(disp, nav.stream_to_file_end(s_hi), &hi);
+  LLIO_REQUIRE(!overflow, Errc::Protocol, "psrv: view offsets overflow");
+  return {lo, hi};
+}
+
 /// Wall-clock wait a server allows before deciding nothing is coming and
 /// jumping the sim clock to the next recall deadline.  Liveness only —
 /// generous so a live (but slow) client's flush always beats the jump.
@@ -425,6 +455,9 @@ void ServerPool::serve(int idx) {
 
   ViewCache views;
   std::uint64_t use_tick = 0;
+  // Required by SieveContext, never taken: view accesses run with
+  // whole_range_locked since this thread alone touches the shard.
+  pfs::RangeLock view_locks;
 
   FairScheduler sched(cfg_.deadline_ticks);
   lease::LeaseTable leases(cfg_.lease_grace);
@@ -747,7 +780,7 @@ void ServerPool::serve(int idx) {
           const ConstByteSpan tree = rd.bytes(tree_len);
           const ConstByteSpan payload = writing ? rd.rest() : ConstByteSpan{};
           const Off n = writing ? to_off(payload.size()) : len;
-          LLIO_REQUIRE(n >= 0 && stream_lo >= 0, Errc::Protocol,
+          LLIO_REQUIRE(n >= 0 && stream_lo >= 0 && disp >= 0, Errc::Protocol,
                        "psrv: bad view request");
 
           auto it = views.find(view_id);
@@ -760,6 +793,11 @@ void ServerPool::serve(int idx) {
               st.view_misses.fetch_add(1, std::memory_order_relaxed);
               break;
             }
+            dt::Type ft = dt::deserialize(tree);
+            // The O(1) shard check below bounds every segment by the
+            // access' first and last byte: sound only for monotone views.
+            LLIO_REQUIRE(fotf::file_navigable(ft), Errc::Protocol,
+                         "psrv: view tree is not a navigable filetype");
             if (to_off(views.size()) >= Off{cfg_.view_cache_cap}) {
               auto victim = views.begin();
               for (auto v = views.begin(); v != views.end(); ++v)
@@ -767,7 +805,6 @@ void ServerPool::serve(int idx) {
               views.erase(victim);
               st.view_evictions.fetch_add(1, std::memory_order_relaxed);
             }
-            dt::Type ft = dt::deserialize(tree);
             auto nav = std::make_unique<core::ListlessNav>(ft);
             it = views
                      .emplace(view_id,
@@ -778,71 +815,32 @@ void ServerPool::serve(int idx) {
           it->second.last_use = ++use_tick;
           core::ListlessNav& nav = *it->second.nav;
 
-          if (writing) {
-            std::vector<pfs::ConstIoVec> iov;
-            Off segments = 0;
-            nav.for_each_segment(
-                stream_lo, n, [&](Off mem, Off s, Off seglen) {
-                  const Off file = disp + mem;
-                  LLIO_REQUIRE(file >= dom.lo && file + seglen <= dom.hi,
-                               Errc::Protocol,
-                               "psrv: view segment outside shard");
-                  const Off local = file - dom.lo;
-                  const Byte* p = payload.data() + (s - stream_lo);
-                  ++segments;
-                  if (!iov.empty() &&
-                      iov.back().offset + to_off(iov.back().buf.size()) ==
-                          local &&
-                      iov.back().buf.data() + iov.back().buf.size() == p) {
-                    iov.back().buf = ConstByteSpan(
-                        iov.back().buf.data(),
-                        iov.back().buf.size() + to_size(seglen));
-                    st.batched_extents.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                  } else {
-                    iov.push_back({local, ConstByteSpan(p, to_size(seglen))});
-                  }
-                });
-            shard.pwritev(iov);
-            resp = wire::ok_response(n);
-            st.view_segments.fetch_add(
-                static_cast<std::uint64_t>(segments),
-                std::memory_order_relaxed);
-          } else {
-            resp = wire::ok_response(n, n);
+          Off abs_lo = 0, abs_hi = 0;
+          if (n > 0) {
+            std::tie(abs_lo, abs_hi) =
+                view_file_span(nav, *it->second.ft, disp, stream_lo, n);
+            LLIO_REQUIRE(abs_lo >= dom.lo && abs_hi <= dom.hi, Errc::Protocol,
+                         "psrv: view access outside shard");
+          }
+          resp = wire::ok_response(n, writing ? 0 : n);
+          const Byte* data = payload.data();
+          if (!writing) {
             const std::size_t at = resp.size();
             resp.resize(at + to_size(n));
-            Byte* out = resp.data() + at;
-            std::vector<pfs::IoVec> iov;
-            Off segments = 0;
-            nav.for_each_segment(
-                stream_lo, n, [&](Off mem, Off s, Off seglen) {
-                  const Off file = disp + mem;
-                  LLIO_REQUIRE(file >= dom.lo && file + seglen <= dom.hi,
-                               Errc::Protocol,
-                               "psrv: view segment outside shard");
-                  const Off local = file - dom.lo;
-                  Byte* p = out + (s - stream_lo);
-                  ++segments;
-                  if (!iov.empty() &&
-                      iov.back().offset + to_off(iov.back().buf.size()) ==
-                          local &&
-                      iov.back().buf.data() + iov.back().buf.size() == p) {
-                    iov.back().buf =
-                        ByteSpan(iov.back().buf.data(),
-                                 iov.back().buf.size() + to_size(seglen));
-                    st.batched_extents.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                  } else {
-                    iov.push_back({local, ByteSpan(p, to_size(seglen))});
-                  }
-                });
-            shard.preadv(iov);
+            data = resp.data() + at;
             resp_cls = sim::MsgClass::Data;
-            st.view_segments.fetch_add(
-                static_cast<std::uint64_t>(segments),
-                std::memory_order_relaxed);
           }
+          // The engine's independent path over the shard.  This thread
+          // is the shard's only accessor and serves its requests in
+          // order, so the sieve's read-modify-write needs no range lock.
+          mpiio::ContigMover mover(data, 0);
+          mpiio::IoOpStats ios;
+          mpiio::SieveContext ctx{shard, view_locks, kViewOptions, ios,
+                                  /*whole_range_locked=*/true};
+          mpiio::sieve_or_direct(ctx, writing, nav, disp - dom.lo, stream_lo,
+                                 n, abs_lo - dom.lo, abs_hi - dom.lo, mover);
+          st.view_segments.fetch_add(ios.file_extents,
+                                     std::memory_order_relaxed);
           st.view_ops.fetch_add(1, std::memory_order_relaxed);
           st.view_bytes.fetch_add(static_cast<std::uint64_t>(n),
                                   std::memory_order_relaxed);

@@ -15,8 +15,9 @@
 //   list   — an ol-list plus its data in one message, replayed against
 //            the shard with adjacent extents batched into vectored I/O,
 //   view   — the serialized filetype tree plus (disp, stream range); the
-//            server navigates it locally with the listless cursor, i.e.
-//            listless I/O over the wire (fileview caching of §3.2.3).
+//            server runs the engine's sieve/direct code over its shard
+//            with the listless navigator, i.e. listless I/O over the
+//            wire (fileview caching of §3.2.3).
 //
 // Multi-tenancy: every request carries a session id.  Each server thread
 // runs a FairScheduler (session.hpp) instead of serving mailbox order —
@@ -128,7 +129,9 @@ struct ServerStats {
   std::uint64_t view_bytes = 0;
 
   std::uint64_t list_extents = 0;    ///< ol-list entries replayed
-  std::uint64_t view_segments = 0;   ///< contiguous runs navigated
+  /// File extents the server issued for view requests: one per sieve
+  /// window or direct run (not per navigated segment).
+  std::uint64_t view_segments = 0;
   std::uint64_t batched_extents = 0; ///< extents merged away by adjacency
 
   std::uint64_t view_installs = 0;
