@@ -47,16 +47,4 @@ class StopWatch {
   bool running_ = false;
 };
 
-/// RAII guard accumulating the lifetime of a scope into a StopWatch.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(StopWatch& watch) : watch_(watch) { watch_.start(); }
-  ~ScopedTimer() { watch_.stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  StopWatch& watch_;
-};
-
 }  // namespace llio

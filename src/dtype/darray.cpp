@@ -52,7 +52,7 @@ Type darray(int nprocs, int rank, std::span<const Off> gsizes,
     LLIO_REQUIRE(distribs[d] != Distrib::None || psizes[d] == 1,
                  Errc::InvalidDatatype,
                  "darray: Distrib::None requires psize == 1");
-    grid *= psizes[d];
+    grid = checked_mul(grid, psizes[d]);
   }
   LLIO_REQUIRE(grid == nprocs, Errc::InvalidDatatype,
                "darray: process grid does not match nprocs");
@@ -82,7 +82,8 @@ Type darray(int nprocs, int rank, std::span<const Off> gsizes,
 
   const Off ext = t->extent();
   Off full_ext = ext;  // extent of the whole global array
-  for (std::size_t d = 0; d < nd; ++d) full_ext *= gs[d];
+  for (std::size_t d = 0; d < nd; ++d)
+    full_ext = checked_mul(full_ext, gs[d]);
   Type cur = t;
   Off disp = 0;      // global byte offset of the local piece's origin
   Off slab = ext;    // bytes per full row of the current dimension
@@ -100,14 +101,14 @@ Type darray(int nprocs, int rank, std::span<const Off> gsizes,
       case Distrib::Block: {
         Off b = darg[d];
         if (b == kDfltDarg) b = ceil_div(g, p);
-        LLIO_REQUIRE(b >= 1 && b * p >= g, Errc::InvalidDatatype,
+        LLIO_REQUIRE(b >= 1 && checked_mul(b, p) >= g, Errc::InvalidDatatype,
                      "darray: block darg too small for the dimension");
         const Off mysize = std::clamp<Off>(g - b * r, 0, b);
         if (mysize == 0) {
           empty = true;
         } else {
           cur = row_run(mysize, slab, cur);
-          disp += b * r * slab;
+          disp = checked_add(disp, checked_mul(checked_mul(b, r), slab));
         }
         break;
       }
@@ -116,34 +117,35 @@ Type darray(int nprocs, int rank, std::span<const Off> gsizes,
         if (b == kDfltDarg) b = 1;
         LLIO_REQUIRE(b >= 1, Errc::InvalidDatatype,
                      "darray: cyclic darg must be >= 1");
-        const Off st = r * b;  // first row this rank owns in this dim
+        const Off st = checked_mul(r, b);  // first row this rank owns here
         if (st >= g) {
           empty = true;
           break;
         }
         const Off span = g - st;              // rows from st to the end
-        const Off cycle = p * b;              // rows per full deal round
+        const Off cycle = checked_mul(p, b);  // rows per full deal round
         const Off full = span / cycle;        // complete blocks of b
         const Off rem = std::min(span % cycle, b);  // trailing partial block
         const Type block = row_run(b, slab, cur);
+        const Off stride = checked_mul(cycle, slab);
         Type piece;
         if (rem == 0) {
-          piece = hvector(full, 1, cycle * slab, block);
+          piece = hvector(full, 1, stride, block);
         } else if (full == 0) {
           piece = row_run(rem, slab, cur);
         } else {
           const Type tail = row_run(rem, slab, cur);
           const Off bls[] = {1, 1};
-          const Off ds[] = {0, full * cycle * slab};
-          const Type kids[] = {hvector(full, 1, cycle * slab, block), tail};
+          const Off ds[] = {0, checked_mul(full, stride)};
+          const Type kids[] = {hvector(full, 1, stride, block), tail};
           piece = struct_(bls, ds, kids);
         }
         cur = piece;
-        disp += st * slab;
+        disp = checked_add(disp, checked_mul(st, slab));
         break;
       }
     }
-    slab *= g;
+    slab = checked_mul(slab, g);
     if (empty) break;
   }
 

@@ -7,6 +7,20 @@
 
 namespace llio::dt {
 
+Off checked_add(Off a, Off b) {
+  Off r = 0;
+  LLIO_REQUIRE(!__builtin_add_overflow(a, b, &r), Errc::InvalidDatatype,
+               "datatype: size or bounds overflow 64 bits");
+  return r;
+}
+
+Off checked_mul(Off a, Off b) {
+  Off r = 0;
+  LLIO_REQUIRE(!__builtin_mul_overflow(a, b, &r), Errc::InvalidDatatype,
+               "datatype: size or bounds overflow 64 bits");
+  return r;
+}
+
 namespace {
 
 /// Summary of the maximal contiguous segments of a typemap region, used to
@@ -32,16 +46,16 @@ SegInfo single_segment(Off off, Off len) {
   s.first_off = s.last_off = off;
   s.first_len = s.last_len = len;
   s.min_off = off;
-  s.max_end = off + len;
+  s.max_end = checked_add(off, len);
   return s;
 }
 
 SegInfo shift(SegInfo s, Off d) {
   if (s.empty) return s;
-  s.first_off += d;
-  s.last_off += d;
-  s.min_off += d;
-  s.max_end += d;
+  s.first_off = checked_add(s.first_off, d);
+  s.last_off = checked_add(s.last_off, d);
+  s.min_off = checked_add(s.min_off, d);
+  s.max_end = checked_add(s.max_end, d);
   return s;
 }
 
@@ -49,24 +63,25 @@ SegInfo shift(SegInfo s, Off d) {
 SegInfo repeat(const SegInfo& inner, Off count, Off spacing) {
   if (inner.empty || count <= 0) return {};
   if (count == 1) return inner;
-  const bool merge = inner.last_end() == inner.first_off + spacing;
+  const bool merge = inner.last_end() == checked_add(inner.first_off, spacing);
   SegInfo r;
   r.empty = false;
-  r.monotone = inner.monotone && inner.max_end <= inner.min_off + spacing;
-  const Off total_shift = (count - 1) * spacing;
-  r.min_off = inner.min_off + std::min<Off>(0, total_shift);
-  r.max_end = inner.max_end + std::max<Off>(0, total_shift);
+  r.monotone =
+      inner.monotone && inner.max_end <= checked_add(inner.min_off, spacing);
+  const Off total_shift = checked_mul(count - 1, spacing);
+  r.min_off = checked_add(inner.min_off, std::min<Off>(0, total_shift));
+  r.max_end = checked_add(inner.max_end, std::max<Off>(0, total_shift));
   if (merge && inner.nseg == 1) {
     // The single segment tiles seamlessly: one big segment.
     r.nseg = 1;
     r.first_off = r.last_off = inner.first_off;
-    r.first_len = r.last_len = inner.first_len + total_shift;
+    r.first_len = r.last_len = checked_add(inner.first_len, total_shift);
     return r;
   }
-  r.nseg = count * inner.nseg - (merge ? count - 1 : 0);
+  r.nseg = checked_mul(count, inner.nseg) - (merge ? count - 1 : 0);
   r.first_off = inner.first_off;
   r.first_len = inner.first_len;
-  r.last_off = inner.last_off + total_shift;
+  r.last_off = checked_add(inner.last_off, total_shift);
   r.last_len = inner.last_len;
   return r;
 }
@@ -133,7 +148,10 @@ class Builder {
     n.true_lb_ = s.min_off;
     n.true_ub_ = s.max_end;
     n.monotone_ = s.monotone;
-    n.contig_ = s.nseg <= 1 && n.extent() == n.size_;
+    Off extent = 0;
+    LLIO_REQUIRE(!__builtin_sub_overflow(n.ub_, n.lb_, &extent),
+                 Errc::InvalidDatatype, "datatype: extent overflows 64 bits");
+    n.contig_ = s.nseg <= 1 && extent == n.size_;
   }
 
   static Type make_basic(BasicId id) {
@@ -155,11 +173,12 @@ class Builder {
     n->kind_ = Kind::Contiguous;
     n->count_ = count;
     n->child_ = t;
-    n->size_ = count * t->size();
+    n->size_ = checked_mul(count, t->size());
     const Off ext = t->extent();
-    const Off span = count > 0 ? (count - 1) * ext : 0;
-    n->lb_ = t->lb() + std::min<Off>(0, span);
-    n->ub_ = count > 0 ? t->ub() + std::max<Off>(0, span) : t->lb();
+    const Off span = count > 0 ? checked_mul(count - 1, ext) : 0;
+    n->lb_ = checked_add(t->lb(), std::min<Off>(0, span));
+    n->ub_ =
+        count > 0 ? checked_add(t->ub(), std::max<Off>(0, span)) : t->lb();
     n->depth_ = 1 + t->depth();
     store_seg(*n, repeat(seg(*t), count, ext));
     return n;
@@ -176,15 +195,15 @@ class Builder {
     n->blocklen_ = blocklen;
     n->stride_ = stride_bytes;
     n->child_ = t;
-    n->size_ = count * blocklen * t->size();
+    n->size_ = checked_mul(checked_mul(count, blocklen), t->size());
     const Off ext = t->extent();
     if (count > 0 && blocklen > 0) {
-      const Off inner_span = (blocklen - 1) * ext;
-      const Off outer_span = (count - 1) * stride_bytes;
-      n->lb_ = t->lb() + std::min<Off>(0, inner_span) +
-               std::min<Off>(0, outer_span);
-      n->ub_ = t->ub() + std::max<Off>(0, inner_span) +
-               std::max<Off>(0, outer_span);
+      const Off inner_span = checked_mul(blocklen - 1, ext);
+      const Off outer_span = checked_mul(count - 1, stride_bytes);
+      n->lb_ = checked_add(checked_add(t->lb(), std::min<Off>(0, inner_span)),
+                           std::min<Off>(0, outer_span));
+      n->ub_ = checked_add(checked_add(t->ub(), std::max<Off>(0, inner_span)),
+                           std::max<Off>(0, outer_span));
     } else {
       n->lb_ = t->lb();
       n->ub_ = t->lb();
@@ -217,11 +236,14 @@ class Builder {
     for (std::size_t i = 0; i < nb; ++i) {
       const Off bl = n->blocklens_[i];
       const Off d = n->disps_[i];
-      n->prefix_[i + 1] = n->prefix_[i] + bl * t->size();
+      n->prefix_[i + 1] =
+          checked_add(n->prefix_[i], checked_mul(bl, t->size()));
       if (bl > 0) {
-        const Off span = (bl - 1) * ext;
-        const Off block_lb = t->lb() + d + std::min<Off>(0, span);
-        const Off block_ub = t->ub() + d + std::max<Off>(0, span);
+        const Off span = checked_mul(bl - 1, ext);
+        const Off block_lb =
+            checked_add(checked_add(t->lb(), d), std::min<Off>(0, span));
+        const Off block_ub =
+            checked_add(checked_add(t->ub(), d), std::max<Off>(0, span));
         if (!have_bounds) {
           lbv = block_lb;
           ubv = block_ub;
@@ -269,12 +291,15 @@ class Builder {
       const Off bl = n->blocklens_[i];
       const Off d = n->disps_[i];
       const Off ext = t->extent();
-      n->prefix_[i + 1] = n->prefix_[i] + bl * t->size();
+      n->prefix_[i + 1] =
+          checked_add(n->prefix_[i], checked_mul(bl, t->size()));
       maxdepth = std::max(maxdepth, t->depth());
       if (bl > 0) {
-        const Off span = (bl - 1) * ext;
-        const Off block_lb = t->lb() + d + std::min<Off>(0, span);
-        const Off block_ub = t->ub() + d + std::max<Off>(0, span);
+        const Off span = checked_mul(bl - 1, ext);
+        const Off block_lb =
+            checked_add(checked_add(t->lb(), d), std::min<Off>(0, span));
+        const Off block_ub =
+            checked_add(checked_add(t->ub(), d), std::max<Off>(0, span));
         if (!have_bounds) {
           lbv = block_lb;
           ubv = block_ub;
@@ -303,7 +328,7 @@ class Builder {
     n->resized_extent_ = ext;
     n->size_ = t->size();
     n->lb_ = lbv;
-    n->ub_ = lbv + ext;
+    n->ub_ = checked_add(lbv, ext);
     n->depth_ = 1 + t->depth();
     store_seg(*n, seg(*t));
     return n;
@@ -350,7 +375,8 @@ Type contiguous(Off count, const Type& t) {
 
 Type vector(Off count, Off blocklen, Off stride_elems, const Type& t) {
   LLIO_REQUIRE(t != nullptr, Errc::InvalidDatatype, "vector: null child");
-  return Builder::make_vector(count, blocklen, stride_elems * t->extent(), t);
+  return Builder::make_vector(count, blocklen,
+                              checked_mul(stride_elems, t->extent()), t);
 }
 
 Type hvector(Off count, Off blocklen, Off stride_bytes, const Type& t) {
@@ -362,7 +388,7 @@ Type indexed(std::span<const Off> blocklens, std::span<const Off> disps_elems,
   LLIO_REQUIRE(t != nullptr, Errc::InvalidDatatype, "indexed: null child");
   std::vector<Off> disps(disps_elems.size());
   for (std::size_t i = 0; i < disps.size(); ++i)
-    disps[i] = disps_elems[i] * t->extent();
+    disps[i] = checked_mul(disps_elems[i], t->extent());
   return Builder::make_indexed(
       std::vector<Off>(blocklens.begin(), blocklens.end()), std::move(disps),
       t);
@@ -382,7 +408,7 @@ Type indexed_block(Off blocklen, std::span<const Off> disps_elems,
   std::vector<Off> blocklens(disps_elems.size(), blocklen);
   std::vector<Off> disps(disps_elems.size());
   for (std::size_t i = 0; i < disps.size(); ++i)
-    disps[i] = disps_elems[i] * t->extent();
+    disps[i] = checked_mul(disps_elems[i], t->extent());
   return Builder::make_indexed(std::move(blocklens), std::move(disps), t);
 }
 
@@ -419,16 +445,16 @@ Type subarray(std::span<const Off> sizes, std::span<const Off> subsizes,
   }
   const Off ext = t->extent();
   Type cur = contiguous(ssz[0], t);
-  Off slab = sz[0] * ext;  // extent of one full row of dimension 0
+  Off slab = checked_mul(sz[0], ext);  // extent of one full row of dim 0
   for (std::size_t d = 1; d < nd; ++d) {
     cur = hvector(ssz[d], 1, slab, cur);
-    slab *= sz[d];
+    slab = checked_mul(slab, sz[d]);
   }
   Off offset = 0;
   Off mult = ext;
   for (std::size_t d = 0; d < nd; ++d) {
-    offset += st[d] * mult;
-    mult *= sz[d];
+    offset = checked_add(offset, checked_mul(st[d], mult));
+    mult = checked_mul(mult, sz[d]);
   }
   const Off blocklens[] = {1};
   const Off disps[] = {offset};

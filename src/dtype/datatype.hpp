@@ -192,6 +192,12 @@ Type darray(int nprocs, int rank, std::span<const Off> gsizes,
             std::span<const Distrib> distribs, std::span<const Off> dargs,
             std::span<const Off> psizes, Order order, const Type& t);
 
+/// Overflow-checked Off arithmetic for datatype sizes, bounds and spans:
+/// a type whose size or extent does not fit 64 bits throws
+/// InvalidDatatype instead of wrapping.
+Off checked_add(Off a, Off b);
+Off checked_mul(Off a, Off b);
+
 // ---- property accessors (free-function style used across llio) --------
 
 inline Off size(const Type& t) { return t->size(); }

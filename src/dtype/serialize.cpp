@@ -37,6 +37,15 @@ class Reader {
 
   bool done() const { return pos_ == data_.size(); }
 
+  /// A block count whose (blocklen, disp) pairs must fit in the rest of
+  /// the input, so a hostile count cannot drive a huge allocation.
+  Off block_count(const char* what) {
+    const Off n = i64();
+    LLIO_REQUIRE(n >= 0 && n <= to_off((data_.size() - pos_) / 16),
+                 Errc::InvalidDatatype, what);
+    return n;
+  }
+
  private:
   ConstByteSpan data_;
   std::size_t pos_ = 0;
@@ -102,18 +111,14 @@ Type decode(Reader& r, int depth_budget) {
       return hvector(count, blocklen, stride, decode(r, depth_budget - 1));
     }
     case Kind::Indexed: {
-      const Off n = r.i64();
-      LLIO_REQUIRE(n >= 0 && n < (Off{1} << 32), Errc::InvalidDatatype,
-                   "deserialize: bad indexed block count");
+      const Off n = r.block_count("deserialize: bad indexed block count");
       std::vector<Off> bls(to_size(n)), ds(to_size(n));
       for (Off& b : bls) b = r.i64();
       for (Off& d : ds) d = r.i64();
       return hindexed(bls, ds, decode(r, depth_budget - 1));
     }
     case Kind::Struct: {
-      const Off n = r.i64();
-      LLIO_REQUIRE(n >= 0 && n < (Off{1} << 32), Errc::InvalidDatatype,
-                   "deserialize: bad struct child count");
+      const Off n = r.block_count("deserialize: bad struct child count");
       std::vector<Off> bls(to_size(n)), ds(to_size(n));
       for (Off& b : bls) b = r.i64();
       for (Off& d : ds) d = r.i64();

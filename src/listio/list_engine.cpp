@@ -73,7 +73,7 @@ void ListEngine::set_view(const View& v) {
 
 std::unique_ptr<mpiio::StreamMover> ListEngine::make_nc_mover(
     const void* buf, Off count, const dt::Type& mt) {
-  return std::make_unique<ListMover>(buf, count, mt, &stats_);
+  return std::make_unique<ListMover>(buf, count, mt, stats_);
 }
 
 /// The list-based two-phase strategy (§2.3): the descriptor is an

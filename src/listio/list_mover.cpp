@@ -3,27 +3,22 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 
 namespace llio::listio {
 
 namespace {
-dt::OlList timed_flatten(const dt::Type& t, mpiio::IoOpStats* stats) {
-  StopWatch w;
-  w.start();
-  dt::OlList list = dt::flatten(t);
-  w.stop();
-  if (stats != nullptr) {
-    stats->list_build_s += w.seconds();
-    stats->list_mem_bytes =
-        std::max(stats->list_mem_bytes, list.memory_bytes());
-  }
+dt::OlList timed_flatten(const dt::Type& t, mpiio::IoOpStats& stats) {
+  dt::OlList list = [&] {
+    mpiio::Phase build(stats.list_build_s);
+    return dt::flatten(t);
+  }();
+  stats.list_mem_bytes = std::max(stats.list_mem_bytes, list.memory_bytes());
   return list;
 }
 }  // namespace
 
 ListMover::ListMover(const void* buf, Off count, const dt::Type& memtype,
-                     mpiio::IoOpStats* stats)
+                     mpiio::IoOpStats& stats)
     : buf_(const_cast<Byte*>(as_bytes(buf))),
       list_(timed_flatten(memtype, stats)),
       walker_(&list_, memtype->extent()) {

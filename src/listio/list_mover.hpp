@@ -15,7 +15,7 @@ class ListMover final : public mpiio::StreamMover {
   /// Flattens `memtype` at construction; the flatten time and the list
   /// memory are charged to `stats` (list_build_s / list_mem_bytes).
   ListMover(const void* buf, Off count, const dt::Type& memtype,
-            mpiio::IoOpStats* stats);
+            mpiio::IoOpStats& stats);
 
   void to_stream(Byte* dst, Off s, Off n) override;
   void from_stream(const Byte* src, Off s, Off n) override;

@@ -44,12 +44,14 @@ Off viewio_access(bool writing, pfs::ViewIo& vio, const View& view,
                   const Options& opts, IoOpStats& stats, Off stream_lo,
                   Off nbytes, StreamMover& mover) {
   auto view_io = [&](Off s, Byte* p, Off n) {
-    WallTimer t;
-    if (writing)
-      vio.view_write(view.filetype, view.disp, s, ConstByteSpan(p, to_size(n)));
-    else
-      vio.view_read(view.filetype, view.disp, s, ByteSpan(p, to_size(n)));
-    stats.file_s += t.seconds();
+    {
+      Phase io(stats.file_s);
+      if (writing)
+        vio.view_write(view.filetype, view.disp, s,
+                       ConstByteSpan(p, to_size(n)));
+      else
+        vio.view_read(view.filetype, view.disp, s, ByteSpan(p, to_size(n)));
+    }
     (writing ? stats.file_write_ops : stats.file_read_ops) += 1;
     (writing ? stats.file_write_bytes : stats.file_read_bytes) += n;
   };
@@ -62,12 +64,13 @@ Off viewio_access(bool writing, pfs::ViewIo& vio, const View& view,
     for (Off done = 0; done < nbytes;) {
       const Off n = std::min(nbytes - done, static_cast<Off>(buf.size()));
       if (!writing) view_io(stream_lo + done, buf.data(), n);
-      WallTimer t;
-      if (writing)
-        mover.to_stream(buf.data(), done, n);
-      else
-        mover.from_stream(buf.data(), done, n);
-      stats.copy_s += t.seconds();
+      {
+        Phase copy(stats.copy_s);
+        if (writing)
+          mover.to_stream(buf.data(), done, n);
+        else
+          mover.from_stream(buf.data(), done, n);
+      }
       if (writing) view_io(stream_lo + done, buf.data(), n);
       done += n;
     }
@@ -159,12 +162,10 @@ long long to_us(double seconds) {
 void IoEngine::observe_op(std::uint32_t op_id, const IoOpStats& s,
                           int queue_depth) {
   if (obs::metrics_enabled()) {
-    local_metrics_.histogram("op.total_us").record(to_us(s.total_s));
-    local_metrics_.histogram("op.pack_us").record(to_us(s.copy_s));
-    local_metrics_.histogram("op.exchange_us").record(to_us(s.exchange_s));
-    local_metrics_.histogram("op.preread_us").record(to_us(s.preread_s));
-    local_metrics_.histogram("op.io_us").record(to_us(s.file_s));
-    local_metrics_.histogram("op.wait_us").record(to_us(s.io_wait_s));
+    for_each_field(s, [&](const StatField& f, const auto& v) {
+      if (f.kind == StatKind::Time)
+        local_metrics_.histogram(f.hist).record(to_us(static_cast<double>(v)));
+    });
   }
   obs::Sampler& sampler = obs::Sampler::instance();
   if (!sampler.enabled()) return;

@@ -558,20 +558,21 @@ obs::JobReport File::close() {
   // Adaptive handles contribute both engines' work: the phase totals use
   // the merged cumulative stats and the per-rank histograms merge the two
   // engines' LocalRegistries (name-wise; the schema is identical).
-  const IoOpStats& c = cumulative_stats();
   obs::RankSnapshot mine;
   mine.rank = comm.rank();
-  mine.phases = {{"total", c.total_s},      {"pack", c.copy_s},
-                 {"exchange", c.exchange_s}, {"preread", c.preread_s},
-                 {"io", c.file_s},           {"wait", c.io_wait_s}};
-  mine.counters = {
-      {"bytes_moved", static_cast<std::uint64_t>(c.bytes_moved)},
-      {"file_read_ops", c.file_read_ops},
-      {"file_write_ops", c.file_write_ops},
-      {"async_file_ops", c.async_file_ops},
-      {"zerocopy_windows", c.zerocopy_windows},
-      {"preread_skipped_windows", c.preread_skipped_windows},
-  };
+  for_each_field(cumulative_stats(), [&](const StatField& f, const auto& v) {
+    switch (f.kind) {
+      case StatKind::Time:
+        mine.phases.emplace_back(f.report, static_cast<double>(v));
+        break;
+      case StatKind::Count:
+        mine.counters.emplace_back(f.report, static_cast<std::uint64_t>(v));
+        break;
+      case StatKind::Peak:
+        mine.peaks.emplace_back(f.report, static_cast<double>(v));
+        break;
+    }
+  });
   mine.hists = engine_->local_metrics().histogram_data();
   if (alt_engine_) {
     for (const auto& [name, data] : alt_engine_->local_metrics().histogram_data()) {
@@ -600,28 +601,9 @@ obs::JobReport File::close() {
     const pfs::FileBackend* b = backend_.get();
     if (const auto* tf = dynamic_cast<const pfs::TracedFile*>(b))
       b = tf->inner().get();
-    if (const auto* sf = dynamic_cast<const psrv::ServerFile*>(b)) {
-      const psrv::ServerStats ps = sf->pool()->total_server_stats();
-      report.global_counters = {
-          {"psrv.requests", ps.requests},
-          {"psrv.contig_ops", ps.contig_ops},
-          {"psrv.list_ops", ps.list_ops},
-          {"psrv.view_ops", ps.view_ops},
-          {"psrv.bytes_in", ps.bytes_in},
-          {"psrv.bytes_out", ps.bytes_out},
-          {"psrv.batched_extents", ps.batched_extents},
-          {"psrv.session_ops", ps.session_ops},
-          {"psrv.lease_ops", ps.lease_ops},
-          {"psrv.writeback_ops", ps.writeback_ops},
-          {"psrv.writeback_bytes", ps.writeback_bytes},
-          {"psrv.recalls_sent", ps.recalls_sent},
-          {"psrv.parked", ps.parked},
-          {"psrv.fenced_drops", ps.fenced_drops},
-          {"psrv.agg_writes", ps.agg_writes},
-          {"psrv.escalations", ps.escalations},
-          {"psrv.max_queue_depth", ps.max_queue_depth},
-      };
-    }
+    if (const auto* sf = dynamic_cast<const psrv::ServerFile*>(b))
+      report.global_counters =
+          psrv::report_counters(sf->pool()->total_server_stats());
   }
   const obs::MetricsSnapshot ms = obs::Sampler::instance().snapshot();
   report.samples_produced = ms.produced;

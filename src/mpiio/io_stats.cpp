@@ -1,55 +1,19 @@
 #include "mpiio/io_stats.hpp"
 
+#include <type_traits>
+
 #include "common/format.hpp"
 
 namespace llio::mpiio {
 
 std::string format_stats(const IoOpStats& s) {
   std::string out;
-  out += strprintf("total            %10.6f s\n", s.total_s);
-  out += strprintf("  list build     %10.6f s\n", s.list_build_s);
-  out += strprintf("  copy           %10.6f s\n", s.copy_s);
-  out += strprintf("  file I/O       %10.6f s\n", s.file_s);
-  out += strprintf("  rmw preread    %10.6f s\n", s.preread_s);
-  out += strprintf("  exchange       %10.6f s\n", s.exchange_s);
-  out += strprintf("  merge analysis %10.6f s\n", s.merge_analysis_s);
-  out += strprintf("  overlap        %10.6f s\n", s.overlap_s);
-  out += strprintf("  io wait        %10.6f s\n", s.io_wait_s);
-  out += strprintf("bytes moved      %lld\n", (long long)s.bytes_moved);
-  out += strprintf("file read        %lld B in %llu ops\n",
-                   (long long)s.file_read_bytes,
-                   (unsigned long long)s.file_read_ops);
-  out += strprintf("file write       %lld B in %llu ops\n",
-                   (long long)s.file_write_bytes,
-                   (unsigned long long)s.file_write_ops);
-  out += strprintf("list sent        %lld B\n", (long long)s.list_bytes_sent);
-  out += strprintf("data sent        %lld B\n", (long long)s.data_bytes_sent);
-  out += strprintf("list memory      %lld B\n", (long long)s.list_mem_bytes);
-  out += strprintf("preread skipped  %llu windows\n",
-                   (unsigned long long)s.preread_skipped_windows);
-  out += strprintf("merge contig     %llu ops\n",
-                   (unsigned long long)s.merge_contig_ops);
-  out += strprintf("zerocopy         %llu windows (%llu staged fallback), "
-                   "%llu runs, %lld B saved\n",
-                   (unsigned long long)s.zerocopy_windows,
-                   (unsigned long long)s.staged_fallback_windows,
-                   (unsigned long long)s.iov_runs,
-                   (long long)s.staging_bytes_saved);
-  out += strprintf("pack threads     %llu used, %llu slices",
-                   (unsigned long long)s.pack_threads_used,
-                   (unsigned long long)s.pack_slices);
-  if (s.pack_slices > 0 && s.pack_slice_total_s > 0) {
-    const double mean =
-        s.pack_slice_total_s / static_cast<double>(s.pack_slices);
-    out += strprintf(" (slice max/mean %.2f)", s.pack_slice_max_s / mean);
-  }
-  out += "\n";
-  out += strprintf("pack plan        %llu hits / %llu misses\n",
-                   (unsigned long long)s.plan_hits,
-                   (unsigned long long)s.plan_misses);
-  out += strprintf("async qd         %llu ops, peak %llu in flight\n",
-                   (unsigned long long)s.async_file_ops,
-                   (unsigned long long)s.async_inflight_peak);
+  for_each_field(s, [&](const StatField& f, const auto& v) {
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>)
+      out += strprintf("%-24s %14.6f s\n", f.name, v);
+    else
+      out += strprintf("%-24s %14lld\n", f.name, static_cast<long long>(v));
+  });
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "common/worker_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -20,52 +19,40 @@ namespace llio::mpiio {
 
 namespace {
 
-/// What a worker-side pread/pwrite contributes to IoOpStats, returned
-/// through the job's future and folded in on the compute thread (the
-/// shared IoOpStats is never touched from a worker).
-struct FileJobStats {
-  double seconds = 0;
-  double preread_seconds = 0;  ///< the RMW share of `seconds`
-  Off read_bytes = 0;
-  Off write_bytes = 0;
-  std::uint64_t read_ops = 0;
-  std::uint64_t write_ops = 0;
-};
-
-FileJobStats read_job(pfs::FileBackend& file, Off lo, ByteSpan buf, Off win,
-                      bool rmw) {
-  FileJobStats s;
-  obs::Span span("preread");
-  StopWatch w;
-  w.start();
-  const Off got = file.pread(lo, buf);
-  w.stop();
-  span.arg("win", win);
-  span.arg("bytes", to_off(buf.size()));
+// Worker-side file jobs return what they did as an IoOpStats through the
+// job's future; the compute thread folds it in (the shared IoOpStats is
+// never touched from a worker).
+IoOpStats read_job(pfs::FileBackend& file, Off lo, ByteSpan buf, Off win,
+                   bool rmw) {
+  IoOpStats s;
+  Off got = 0;
+  {
+    Phase io(s.file_s, "preread");
+    io.arg("win", win);
+    io.arg("bytes", to_off(buf.size()));
+    got = file.pread(lo, buf);
+  }
   if (to_size(got) < buf.size())
     std::memset(buf.data() + got, 0, buf.size() - to_size(got));
-  s.seconds = w.seconds();
   // A read ahead of a write-back is the RMW pre-read the mergeview
   // analysis tries to elide; a read-op window load is plain I/O.
-  if (rmw) s.preread_seconds = s.seconds;
-  s.read_bytes = got;
-  s.read_ops = 1;
+  if (rmw) s.preread_s = s.file_s;
+  s.file_read_bytes = got;
+  s.file_read_ops = 1;
   return s;
 }
 
-FileJobStats write_job(pfs::FileBackend& file, Off lo, ConstByteSpan buf,
-                       Off win) {
-  FileJobStats s;
-  obs::Span span("pwrite");
-  StopWatch w;
-  w.start();
-  file.pwrite(lo, buf);
-  w.stop();
-  span.arg("win", win);
-  span.arg("bytes", to_off(buf.size()));
-  s.seconds = w.seconds();
-  s.write_bytes = to_off(buf.size());
-  s.write_ops = 1;
+IoOpStats write_job(pfs::FileBackend& file, Off lo, ConstByteSpan buf,
+                    Off win) {
+  IoOpStats s;
+  {
+    Phase io(s.file_s, "pwrite");
+    io.arg("win", win);
+    io.arg("bytes", to_off(buf.size()));
+    file.pwrite(lo, buf);
+  }
+  s.file_write_bytes = to_off(buf.size());
+  s.file_write_ops = 1;
   return s;
 }
 
@@ -87,14 +74,15 @@ void run_serial(SieveContext& ctx, Off buffer_bytes, const WindowSource& next,
       // Same span vocabulary as the pipelined jobs, here on the compute
       // thread (tid 0): the explainer excludes these from worker overlap,
       // the critical-path pass counts them as the window's I/O exposure.
-      obs::Span io_span("preread");
-      io_span.arg("win", plan.index);
-      io_span.arg("bytes", win);
-      StopWatch w;
-      w.start();
-      timed_pread_zero_fill(ctx, plan.lo, ByteSpan(buf.data(), to_size(win)));
-      w.stop();
-      if (plan.writeback) ctx.stats.preread_s += w.seconds();
+      double preread_s = 0;
+      {
+        Phase io(preread_s, "preread");
+        io.arg("win", plan.index);
+        io.arg("bytes", win);
+        timed_pread_zero_fill(ctx, plan.lo,
+                              ByteSpan(buf.data(), to_size(win)));
+      }
+      if (plan.writeback) ctx.stats.preread_s += preread_s;
     }
     fill(plan, ByteSpan(buf.data(), to_size(win)));
     if (plan.writeback) {
@@ -112,7 +100,7 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
     WindowPlan plan;
     std::size_t buf = 0;
     bool locked = false;
-    std::future<FileJobStats> io;  // pending pre-read or write-back
+    std::future<IoOpStats> io;  // pending pre-read or write-back
   };
 
   // I/O jobs run on the process-wide worker pool (shared with parallel
@@ -126,7 +114,7 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
   const WorkerPool::Reservation reserved = pool.reserve(depth);
   const int owner = obs::current_pid();
   auto submit_io = [&pool, owner](int tid,
-                                  std::function<FileJobStats()> fn) {
+                                  std::function<IoOpStats()> fn) {
     return pool.submit([owner, tid, fn = std::move(fn)] {
       std::optional<obs::ThreadTrackGuard> track;
       if (owner >= 0 && obs::trace_enabled())
@@ -141,7 +129,7 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
 
   std::deque<Flight> pending;  // produced, possibly pre-reading, not filled
   std::deque<Flight> writing;  // write-back in flight
-  FileJobStats worker;         // everything the workers did
+  IoOpStats worker;            // everything the workers did
   double wait_s = 0;           // compute-thread time blocked on a future
   Off index = 0;               // sequential window number (for tracing)
   bool more = true;
@@ -152,23 +140,13 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
     // in; the wait doubles as the happens-before edge that hands the
     // buffer back to the compute thread.
     if (!fl.io.valid()) return;
-    obs::Span span("io_wait");
-    span.arg("win", fl.plan.index);
-    StopWatch w;
-    w.start();
+    Phase wait(wait_s, "io_wait");
+    wait.arg("win", fl.plan.index);
     try {
-      const FileJobStats s = fl.io.get();
-      worker.seconds += s.seconds;
-      worker.preread_seconds += s.preread_seconds;
-      worker.read_bytes += s.read_bytes;
-      worker.write_bytes += s.write_bytes;
-      worker.read_ops += s.read_ops;
-      worker.write_ops += s.write_ops;
+      worker += fl.io.get();
     } catch (...) {
       if (!err) err = std::current_exception();
     }
-    w.stop();
-    wait_s += w.seconds();
   };
 
   auto retire = [&](Flight& fl) {
@@ -277,14 +255,9 @@ void run_pipelined(SieveContext& ctx, int depth, Off buffer_bytes,
     retire(fl);
   }
 
-  ctx.stats.file_s += worker.seconds;
-  ctx.stats.preread_s += worker.preread_seconds;
-  ctx.stats.file_read_bytes += worker.read_bytes;
-  ctx.stats.file_write_bytes += worker.write_bytes;
-  ctx.stats.file_read_ops += worker.read_ops;
-  ctx.stats.file_write_ops += worker.write_ops;
+  ctx.stats += worker;
   ctx.stats.io_wait_s += wait_s;
-  ctx.stats.overlap_s += std::max(0.0, worker.seconds - wait_s);
+  ctx.stats.overlap_s += std::max(0.0, worker.file_s - wait_s);
 
   if (obs::metrics_enabled()) {
     obs::Registry& reg = obs::Registry::instance();

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace llio::mpiio {
@@ -76,11 +75,11 @@ bool zerocopy_dense_read(SieveContext& ctx, Off abs_lo, Off nbytes,
 }  // namespace
 
 void timed_pread_zero_fill(SieveContext& ctx, Off pos, ByteSpan buf) {
-  StopWatch w;
-  w.start();
-  const Off got = ctx.file.pread(pos, buf);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
+  Off got = 0;
+  {
+    Phase io(ctx.stats.file_s);
+    got = ctx.file.pread(pos, buf);
+  }
   ctx.stats.file_read_bytes += got;
   ctx.stats.file_read_ops += 1;
   if (to_size(got) < buf.size())
@@ -88,11 +87,10 @@ void timed_pread_zero_fill(SieveContext& ctx, Off pos, ByteSpan buf) {
 }
 
 void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf) {
-  StopWatch w;
-  w.start();
-  ctx.file.pwrite(pos, buf);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
+  {
+    Phase io(ctx.stats.file_s);
+    ctx.file.pwrite(pos, buf);
+  }
   ctx.stats.file_write_bytes += to_off(buf.size());
   ctx.stats.file_write_ops += 1;
 }
@@ -100,11 +98,11 @@ void timed_pwrite(SieveContext& ctx, Off pos, ConstByteSpan buf) {
 void timed_preadv_zero_fill(SieveContext& ctx,
                             std::span<const pfs::IoVec> iov) {
   if (iov.empty()) return;
-  StopWatch w;
-  w.start();
-  const Off got = ctx.file.preadv(iov);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
+  Off got = 0;
+  {
+    Phase io(ctx.stats.file_s);
+    got = ctx.file.preadv(iov);
+  }
   ctx.stats.file_read_bytes += got;
   ctx.stats.file_read_ops += 1;
 }
@@ -113,11 +111,10 @@ void timed_pwritev(SieveContext& ctx, std::span<const pfs::ConstIoVec> iov) {
   if (iov.empty()) return;
   Off total = 0;
   for (const pfs::ConstIoVec& v : iov) total += to_off(v.buf.size());
-  StopWatch w;
-  w.start();
-  ctx.file.pwritev(iov);
-  w.stop();
-  ctx.stats.file_s += w.seconds();
+  {
+    Phase io(ctx.stats.file_s);
+    ctx.file.pwritev(iov);
+  }
   ctx.stats.file_write_bytes += total;
   ctx.stats.file_write_ops += 1;
 }
@@ -153,30 +150,30 @@ Off sieve_access(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
     if (!writing || avail != win || !ctx.opts.sieve_skip_covered_read)
       timed_pread_zero_fill(ctx, pos, ByteSpan(fbuf.data(), to_size(win)));
 
-    StopWatch copy;
-    copy.start();
-    const Off s = stream_lo + done;
-    if (const Byte* src = writing ? mover.direct(done, avail) : nullptr) {
-      nav.scatter(fbuf.data(), bias, s, src, avail);
-    } else if (Byte* dst = writing ? nullptr : mover.direct_mut(done, avail)) {
-      nav.gather(dst, fbuf.data(), bias, s, avail);
-    } else {
-      if (packbuf.empty())
-        packbuf.resize(to_size(ctx.opts.pack_buffer_size));
-      for (Off sub = 0; sub < avail;) {
-        const Off n = std::min<Off>(to_off(packbuf.size()), avail - sub);
-        if (writing) {
-          mover.to_stream(packbuf.data(), done + sub, n);
-          nav.scatter(fbuf.data(), bias, s + sub, packbuf.data(), n);
-        } else {
-          nav.gather(packbuf.data(), fbuf.data(), bias, s + sub, n);
-          mover.from_stream(packbuf.data(), done + sub, n);
+    {
+      Phase copy(ctx.stats.copy_s);
+      const Off s = stream_lo + done;
+      if (const Byte* src = writing ? mover.direct(done, avail) : nullptr) {
+        nav.scatter(fbuf.data(), bias, s, src, avail);
+      } else if (Byte* dst =
+                     writing ? nullptr : mover.direct_mut(done, avail)) {
+        nav.gather(dst, fbuf.data(), bias, s, avail);
+      } else {
+        if (packbuf.empty())
+          packbuf.resize(to_size(ctx.opts.pack_buffer_size));
+        for (Off sub = 0; sub < avail;) {
+          const Off n = std::min<Off>(to_off(packbuf.size()), avail - sub);
+          if (writing) {
+            mover.to_stream(packbuf.data(), done + sub, n);
+            nav.scatter(fbuf.data(), bias, s + sub, packbuf.data(), n);
+          } else {
+            nav.gather(packbuf.data(), fbuf.data(), bias, s + sub, n);
+            mover.from_stream(packbuf.data(), done + sub, n);
+          }
+          sub += n;
         }
-        sub += n;
       }
     }
-    copy.stop();
-    ctx.stats.copy_s += copy.seconds();
 
     if (writing)
       timed_pwrite(ctx, pos, ConstByteSpan(fbuf.data(), to_size(win)));
@@ -210,7 +207,6 @@ Off direct_access(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
   ByteVec stage;
   std::vector<pfs::IoVec> iov;
   std::vector<pfs::ConstIoVec> civ;
-  StopWatch copy;
 
   auto flush = [&] {
     if (segs.empty()) return;
@@ -228,10 +224,9 @@ Off direct_access(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
       timed_pwritev(ctx, civ);
     } else {
       timed_preadv_zero_fill(ctx, iov);
-      copy.start();
+      Phase copy(ctx.stats.copy_s);
       for (const Seg& g : segs)
         if (!g.ptr) mover.from_stream(stage.data() + g.stage_off, g.rel, g.len);
-      copy.stop();
     }
     ctx.stats.file_extents += segs.size();
     segs.clear();
@@ -258,9 +253,8 @@ Off direct_access(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
           const Off at = to_off(stage.size());
           stage.resize(to_size(at + n));
           if (writing) {
-            copy.start();
+            Phase copy(ctx.stats.copy_s);
             mover.to_stream(stage.data() + at, rel + sub, n);
-            copy.stop();
           }
           segs.push_back({disp + mem + sub, nullptr, at, rel + sub, n});
           sub += n;
@@ -268,7 +262,6 @@ Off direct_access(SieveContext& ctx, bool writing, ViewNav& nav, Off disp,
         }
       });
   flush();
-  ctx.stats.copy_s += copy.seconds();
   ctx.stats.bytes_moved += nbytes;
   return nbytes;
 }
@@ -315,11 +308,10 @@ Off dense_write(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& src) {
     Off done = 0;
     while (done < nbytes) {
       const Off n = std::min<Off>(to_off(packbuf.size()), nbytes - done);
-      StopWatch copy;
-      copy.start();
-      src.to_stream(packbuf.data(), done, n);
-      copy.stop();
-      ctx.stats.copy_s += copy.seconds();
+      {
+        Phase copy(ctx.stats.copy_s);
+        src.to_stream(packbuf.data(), done, n);
+      }
       timed_pwrite(ctx, abs_lo + done,
                    ConstByteSpan(packbuf.data(), to_size(n)));
       done += n;
@@ -344,11 +336,10 @@ Off dense_read(SieveContext& ctx, Off abs_lo, Off nbytes, StreamMover& dst) {
       const Off n = std::min<Off>(to_off(packbuf.size()), nbytes - done);
       timed_pread_zero_fill(ctx, abs_lo + done,
                       ByteSpan(packbuf.data(), to_size(n)));
-      StopWatch copy;
-      copy.start();
-      dst.from_stream(packbuf.data(), done, n);
-      copy.stop();
-      ctx.stats.copy_s += copy.seconds();
+      {
+        Phase copy(ctx.stats.copy_s);
+        dst.from_stream(packbuf.data(), done, n);
+      }
       done += n;
     }
   }

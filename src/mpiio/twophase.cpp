@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "mpiio/engine.hpp"
 #include "mpiio/mergeview.hpp"
 #include "mpiio/pipeline.hpp"
@@ -97,14 +96,9 @@ namespace {
 /// wall time to stats.exchange_s.
 template <class Fn>
 auto timed_exchange(IoOpStats& stats, const char* what, Fn&& fn) {
-  obs::Span span("exchange");
-  span.arg("what", what);
-  StopWatch w;
-  w.start();
-  auto out = fn();
-  w.stop();
-  stats.exchange_s += w.seconds();
-  return out;
+  Phase exchange(stats.exchange_s, "exchange");
+  exchange.arg("what", what);
+  return fn();
 }
 
 }  // namespace
@@ -144,14 +138,10 @@ void TwoPhase::run_windows(const Domain& dom, TwoPhaseStrategy& st,
   auto fill = [&](const WindowPlan& plan, ByteSpan win) {
     const std::vector<Piece> pieces = std::move(queued.front());
     queued.pop_front();
-    obs::Span span("pack");
-    span.arg("win", plan.index);
-    span.arg("pieces", to_off(pieces.size()));
-    StopWatch cw;
-    cw.start();
+    Phase pack(e_.stats_.copy_s, "pack");
+    pack.arg("win", plan.index);
+    pack.arg("pieces", to_off(pieces.size()));
     st.fill(srcs, plan, win, pieces, writing);
-    cw.stop();
-    e_.stats_.copy_s += cw.seconds();
   };
   run_window_pipeline(ctx, e_.opts_.pipeline_depth,
                       std::min(fbs, dom.hi - dom.lo), next, fill);
@@ -263,12 +253,9 @@ Off TwoPhase::run(bool writing, Off stream_lo, void* buf, Off count,
         } else {
           const std::size_t hdr = msg.header.size();
           msg.header.resize(hdr + to_size(sl.s2 - sl.s1));
-          StopWatch cw;
-          cw.start();
+          Phase copy(stats.copy_s);
           mover->to_stream(msg.header.data() + hdr, sl.s1 - stream_lo,
                            sl.s2 - sl.s1);
-          cw.stop();
-          stats.copy_s += cw.seconds();
         }
         stats.data_bytes_sent += sl.s2 - sl.s1;
       }
@@ -311,14 +298,10 @@ Off TwoPhase::run(bool writing, Off stream_lo, void* buf, Off count,
     // skip it.
     const DomainWindows* verdict = nullptr;
     if (writing && opts.merge_contig == MergeContig::Auto) {
-      obs::Span span("merge_analysis");
-      StopWatch mw;
-      mw.start();
+      Phase merge(stats.merge_analysis_s, "merge_analysis");
       verdict = &e_.merge_cache_.get(
           MergeCache::Key{e_.view_epoch_, dom.lo, dom.hi, fbs, ranges},
           [&] { return st->analyze(dom, fbs, ranges); });
-      mw.stop();
-      stats.merge_analysis_s += mw.seconds();
     }
     run_windows(dom, *st, srcs, writing, verdict);
   }
@@ -339,10 +322,8 @@ Off TwoPhase::run(bool writing, Off stream_lo, void* buf, Off count,
                                    sim::MsgClass::Data);
     });
     if (nbytes > 0) {
-      obs::Span span("pack");
-      span.arg("what", "phase3_unpack");
-      StopWatch cw;
-      cw.start();
+      Phase unpack(stats.copy_s, "pack");
+      unpack.arg("what", "phase3_unpack");
       for (int i = 0; i < niops; ++i) {
         const Slice& sl = slices[to_size(Off{i})];
         if (sl.s2 <= sl.s1 || !scatter[to_size(Off{i})].empty()) continue;
@@ -351,8 +332,6 @@ Off TwoPhase::run(bool writing, Off stream_lo, void* buf, Off count,
                      "read_at_all: bad reply size");
         mover->from_stream(reply.data(), sl.s1 - stream_lo, sl.s2 - sl.s1);
       }
-      cw.stop();
-      stats.copy_s += cw.seconds();
     }
   }
   comm.barrier();

@@ -16,6 +16,7 @@ namespace llio::obs {
 //   u32 rank
 //   u32 nphases { u32 len, bytes, f64 seconds }*
 //   u32 ncounters { u32 len, bytes, u64 value }*
+//   u32 npeaks { u32 len, bytes, f64 value }*
 //   u32 nhists { u32 len, bytes, u64 count, i64 sum, i64 min, i64 max,
 //                u32 nbuckets { u32 index, u64 count }* }*
 
@@ -35,6 +36,17 @@ void put_str(ByteVec& out, const std::string& s) {
   std::memcpy(out.data() + at, s.data(), s.size());
 }
 
+/// A section of named scalars: u32 count { u32 len, bytes, T value }*.
+template <class T>
+void put_named(ByteVec& out,
+               const std::vector<std::pair<std::string, T>>& section) {
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(section.size()));
+  for (const auto& [name, v] : section) {
+    put_str(out, name);
+    put<T>(out, v);
+  }
+}
+
 struct Reader {
   ConstByteSpan raw;
   std::size_t pos = 0;
@@ -49,6 +61,16 @@ struct Reader {
     return v;
   }
 
+  /// An element count, refused when `min_entry`-byte entries that many
+  /// could not fit in the rest of the payload (so no hostile count can
+  /// drive a huge reserve).
+  std::uint32_t get_count(std::size_t min_entry) {
+    const std::uint32_t n = get<std::uint32_t>();
+    LLIO_REQUIRE(n <= (raw.size() - pos) / min_entry, Errc::Protocol,
+                 "RankSnapshot: count exceeds payload");
+    return n;
+  }
+
   std::string get_str() {
     const std::uint32_t len = get<std::uint32_t>();
     LLIO_REQUIRE(pos + len <= raw.size(), Errc::Protocol,
@@ -57,6 +79,17 @@ struct Reader {
     pos += len;
     return s;
   }
+
+  template <class T>
+  void get_named(std::vector<std::pair<std::string, T>>& section) {
+    const std::uint32_t n = get_count(4 + sizeof(T));
+    section.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::string name = get_str();
+      const T v = get<T>();
+      section.emplace_back(std::move(name), v);
+    }
+  }
 };
 
 }  // namespace
@@ -64,16 +97,9 @@ struct Reader {
 ByteVec RankSnapshot::serialize() const {
   ByteVec out;
   put<std::uint32_t>(out, static_cast<std::uint32_t>(rank));
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(phases.size()));
-  for (const auto& [name, s] : phases) {
-    put_str(out, name);
-    put<double>(out, s);
-  }
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(counters.size()));
-  for (const auto& [name, v] : counters) {
-    put_str(out, name);
-    put<std::uint64_t>(out, v);
-  }
+  put_named(out, phases);
+  put_named(out, counters);
+  put_named(out, peaks);
   put<std::uint32_t>(out, static_cast<std::uint32_t>(hists.size()));
   for (const auto& [name, h] : hists) {
     put_str(out, name);
@@ -94,21 +120,12 @@ RankSnapshot RankSnapshot::deserialize(ConstByteSpan raw) {
   Reader r{raw};
   RankSnapshot s;
   s.rank = static_cast<int>(r.get<std::uint32_t>());
-  const std::uint32_t nphases = r.get<std::uint32_t>();
-  s.phases.reserve(nphases);
-  for (std::uint32_t i = 0; i < nphases; ++i) {
-    std::string name = r.get_str();
-    const double v = r.get<double>();
-    s.phases.push_back({std::move(name), v});
-  }
-  const std::uint32_t ncounters = r.get<std::uint32_t>();
-  s.counters.reserve(ncounters);
-  for (std::uint32_t i = 0; i < ncounters; ++i) {
-    std::string name = r.get_str();
-    const std::uint64_t v = r.get<std::uint64_t>();
-    s.counters.push_back({std::move(name), v});
-  }
-  const std::uint32_t nhists = r.get<std::uint32_t>();
+  r.get_named(s.phases);
+  r.get_named(s.counters);
+  r.get_named(s.peaks);
+  // Smallest encodings: a histogram is 40 bytes before its buckets, a
+  // bucket 12 bytes.
+  const std::uint32_t nhists = r.get_count(40);
   s.hists.reserve(nhists);
   for (std::uint32_t i = 0; i < nhists; ++i) {
     std::string name = r.get_str();
@@ -117,7 +134,7 @@ RankSnapshot RankSnapshot::deserialize(ConstByteSpan raw) {
     h.sum = r.get<long long>();
     h.min = r.get<long long>();
     h.max = r.get<long long>();
-    const std::uint32_t nbuckets = r.get<std::uint32_t>();
+    const std::uint32_t nbuckets = r.get_count(12);
     h.buckets.reserve(nbuckets);
     for (std::uint32_t b = 0; b < nbuckets; ++b) {
       const int idx = static_cast<int>(r.get<std::uint32_t>());
@@ -205,6 +222,14 @@ JobReport Collector::build(const std::vector<RankSnapshot>& ranks) {
   for (const RankSnapshot* r : order)
     for (const auto& [name, v] : r->counters) counters[name] += v;
   for (const auto& [name, v] : counters) job.counters.push_back({name, v});
+
+  std::map<std::string, double> peaks;
+  for (const RankSnapshot* r : order)
+    for (const auto& [name, v] : r->peaks) {
+      double& peak = peaks[name];  // peaks are non-negative
+      peak = std::max(peak, v);
+    }
+  for (const auto& [name, v] : peaks) job.peaks.push_back({name, v});
 
   std::map<std::string, MergedHistogram> hists;
   for (std::size_t i = 0; i < order.size(); ++i)
@@ -356,6 +381,10 @@ std::string JobReport::to_json() const {
     out += strprintf(i == 0 ? "\"%s\":%llu" : ",\"%s\":%llu",
                      counters[i].first.c_str(),
                      static_cast<unsigned long long>(counters[i].second));
+  out += "},\"peaks\":{";
+  for (std::size_t i = 0; i < peaks.size(); ++i)
+    out += strprintf(i == 0 ? "\"%s\":%.17g" : ",\"%s\":%.17g",
+                     peaks[i].first.c_str(), peaks[i].second);
   out += "},\"histograms\":[";
   for (std::size_t i = 0; i < hists.size(); ++i) {
     const MergedHistogram& m = hists[i];

@@ -5,15 +5,16 @@
 // window on every rank, and no single rank's numbers can show that.  This
 // layer closes the gap:
 //
-//   * RankSnapshot — one rank's contribution: the IoOpStats phase
-//     decomposition (pack / exchange / preread / io / wait), counters, and
-//     the engine's per-rank phase histograms as mergeable HistogramData.
-//     Serializes to a flat byte vector for the wire.
+//   * RankSnapshot — one rank's contribution: every IoOpStats field (time
+//     fields as phases, counts as counters, high-water marks as peaks),
+//     and the engine's per-rank phase histograms as mergeable
+//     HistogramData.  Serializes to a flat byte vector for the wire.
 //   * Collector::build — fold N RankSnapshots into a JobReport: per-phase
 //     min/median/max/imbalance across ranks, merged histograms whose
 //     quantiles reconcile with the per-rank values within one bucket
 //     (deterministic nearest-rank selection on identical bucket edges),
-//     summed counters, and straggler identification.
+//     summed counters, peaks maxed across ranks, and straggler
+//     identification.
 //   * aggregate(comm, mine) — the collective form: allgather the
 //     serialized snapshots, build on every rank (all ranks return the
 //     same report).  Templated over the comm type so obs stays below
@@ -43,10 +44,11 @@ namespace llio::obs {
 /// One rank's contribution to the job view.
 struct RankSnapshot {
   int rank = 0;
-  /// Phase name -> seconds (pack / exchange / preread / io / wait /
-  /// total, from IoOpStats; any name is accepted).
+  /// Phase name -> seconds (the IoOpStats time fields; any name is
+  /// accepted).
   std::vector<std::pair<std::string, double>> phases;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::pair<std::string, std::uint64_t>> counters;  ///< summed
+  std::vector<std::pair<std::string, double>> peaks;  ///< maxed, not summed
   /// Per-rank histograms (op.total_us etc.), mergeable across ranks.
   std::vector<std::pair<std::string, HistogramData>> hists;
 
@@ -133,6 +135,7 @@ struct JobReport {
   std::vector<int> ranks;  ///< rank ids, index space of per_rank vectors
   std::vector<PhaseStats> phases;
   std::vector<std::pair<std::string, std::uint64_t>> counters;  ///< summed
+  std::vector<std::pair<std::string, double>> peaks;  ///< max across ranks
   std::vector<MergedHistogram> hists;
 
   /// Rank with the largest "total" phase and its max/mean ratio; -1 when

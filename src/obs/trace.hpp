@@ -84,11 +84,11 @@ void span_finish(const char* name, double t0_us,
 
 /// RAII complete-event span.  Constructed against a minimum level; when
 /// the tracer sits below it the constructor is a relaxed load + branch
-/// and the destructor a dead branch.
+/// and the destructor a dead branch.  A null name opens no span.
 class Span {
  public:
   explicit Span(const char* name, TraceLevel min = TraceLevel::Spans) {
-    if (trace_enabled(min)) {
+    if (name != nullptr && trace_enabled(min)) {
       name_ = name;
       t0_us_ = now_us();
       active_ = true;

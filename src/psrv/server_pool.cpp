@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <map>
@@ -30,92 +31,26 @@ namespace {
 constexpr int kServerTrackPid = 1000;
 }  // namespace
 
-ServerStats& ServerStats::operator+=(const ServerStats& o) {
-  requests += o.requests;
-  contig_ops += o.contig_ops;
-  list_ops += o.list_ops;
-  view_ops += o.view_ops;
-  admin_ops += o.admin_ops;
-  bytes_in += o.bytes_in;
-  bytes_out += o.bytes_out;
-  contig_bytes += o.contig_bytes;
-  list_bytes += o.list_bytes;
-  view_bytes += o.view_bytes;
-  list_extents += o.list_extents;
-  view_segments += o.view_segments;
-  batched_extents += o.batched_extents;
-  view_installs += o.view_installs;
-  view_evictions += o.view_evictions;
-  view_misses += o.view_misses;
-  session_ops += o.session_ops;
-  lease_ops += o.lease_ops;
-  writeback_ops += o.writeback_ops;
-  writeback_bytes += o.writeback_bytes;
-  recalls_sent += o.recalls_sent;
-  parked += o.parked;
-  fenced_drops += o.fenced_drops;
-  agg_writes += o.agg_writes;
-  escalations += o.escalations;
-  max_queue_depth = std::max(max_queue_depth, o.max_queue_depth);
-  service_s += o.service_s;
-  queue_wait_s += o.queue_wait_s;
-  return *this;
+std::vector<std::pair<std::string, std::uint64_t>> report_counters(
+    const ServerStats& s) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for_each_field(s, [&](const mpiio::StatField& f, const auto& v) {
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>)
+      out.emplace_back(f.report,
+                       static_cast<std::uint64_t>(std::llround(v * 1e9)));
+    else
+      out.emplace_back(f.report, v);
+  });
+  return out;
 }
 
-struct ServerPool::AtomicServerStats {
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> contig_ops{0}, list_ops{0}, view_ops{0},
-      admin_ops{0};
-  std::atomic<std::uint64_t> bytes_in{0}, bytes_out{0};
-  std::atomic<std::uint64_t> contig_bytes{0}, list_bytes{0}, view_bytes{0};
-  std::atomic<std::uint64_t> list_extents{0}, view_segments{0},
-      batched_extents{0};
-  std::atomic<std::uint64_t> view_installs{0}, view_evictions{0},
-      view_misses{0};
-  std::atomic<std::uint64_t> session_ops{0}, lease_ops{0};
-  std::atomic<std::uint64_t> writeback_ops{0}, writeback_bytes{0};
-  std::atomic<std::uint64_t> recalls_sent{0}, parked{0}, fenced_drops{0};
-  std::atomic<std::uint64_t> agg_writes{0}, escalations{0};
-  std::atomic<std::uint64_t> max_queue_depth{0};
-  std::atomic<std::uint64_t> service_ns{0};
-  std::atomic<std::uint64_t> queue_wait_ns{0};
-
-  ServerStats snapshot() const {
-    ServerStats s;
-    s.requests = requests.load(std::memory_order_relaxed);
-    s.contig_ops = contig_ops.load(std::memory_order_relaxed);
-    s.list_ops = list_ops.load(std::memory_order_relaxed);
-    s.view_ops = view_ops.load(std::memory_order_relaxed);
-    s.admin_ops = admin_ops.load(std::memory_order_relaxed);
-    s.bytes_in = bytes_in.load(std::memory_order_relaxed);
-    s.bytes_out = bytes_out.load(std::memory_order_relaxed);
-    s.contig_bytes = contig_bytes.load(std::memory_order_relaxed);
-    s.list_bytes = list_bytes.load(std::memory_order_relaxed);
-    s.view_bytes = view_bytes.load(std::memory_order_relaxed);
-    s.list_extents = list_extents.load(std::memory_order_relaxed);
-    s.view_segments = view_segments.load(std::memory_order_relaxed);
-    s.batched_extents = batched_extents.load(std::memory_order_relaxed);
-    s.view_installs = view_installs.load(std::memory_order_relaxed);
-    s.view_evictions = view_evictions.load(std::memory_order_relaxed);
-    s.view_misses = view_misses.load(std::memory_order_relaxed);
-    s.session_ops = session_ops.load(std::memory_order_relaxed);
-    s.lease_ops = lease_ops.load(std::memory_order_relaxed);
-    s.writeback_ops = writeback_ops.load(std::memory_order_relaxed);
-    s.writeback_bytes = writeback_bytes.load(std::memory_order_relaxed);
-    s.recalls_sent = recalls_sent.load(std::memory_order_relaxed);
-    s.parked = parked.load(std::memory_order_relaxed);
-    s.fenced_drops = fenced_drops.load(std::memory_order_relaxed);
-    s.agg_writes = agg_writes.load(std::memory_order_relaxed);
-    s.escalations = escalations.load(std::memory_order_relaxed);
-    s.max_queue_depth = max_queue_depth.load(std::memory_order_relaxed);
-    s.service_s =
-        static_cast<double>(service_ns.load(std::memory_order_relaxed)) / 1e9;
-    s.queue_wait_s =
-        static_cast<double>(queue_wait_ns.load(std::memory_order_relaxed)) /
-        1e9;
-    return s;
-  }
-};
+ServerStats AtomicServerStats::snapshot() const {
+  ServerStats s;
+#define LLIO_STATS_LOAD(type, name, kind, report) name.load_into(s.name);
+  LLIO_SERVER_STATS(LLIO_STATS_LOAD)
+#undef LLIO_STATS_LOAD
+  return s;
+}
 
 /// Per-server flow control, accounted per session: any one session may
 /// have at most queue_depth requests in flight on this server.
@@ -311,13 +246,8 @@ ServerPool::Credit ServerPool::acquire_credit(int s, std::int64_t session) {
                [&] { return cs.inflight[session] < cfg_.queue_depth; });
     depth = ++cs.inflight[session];
   }
-  AtomicServerStats& st = *stats_[to_size(Off{s})];
-  std::uint64_t hwm = st.max_queue_depth.load(std::memory_order_relaxed);
-  while (static_cast<std::uint64_t>(depth) > hwm &&
-         !st.max_queue_depth.compare_exchange_weak(
-             hwm, static_cast<std::uint64_t>(depth),
-             std::memory_order_relaxed)) {
-  }
+  stats_[to_size(Off{s})]->max_queue_depth.raise(
+      static_cast<std::uint64_t>(depth));
   if (obs::metrics_enabled())
     obs::Registry::instance()
         .histogram(strprintf("psrv.s%d.queue_depth", s))
@@ -340,13 +270,8 @@ std::optional<ServerPool::Credit> ServerPool::try_acquire_credit(
     }
     depth = ++inflight;
   }
-  AtomicServerStats& st = *stats_[to_size(Off{s})];
-  std::uint64_t hwm = st.max_queue_depth.load(std::memory_order_relaxed);
-  while (static_cast<std::uint64_t>(depth) > hwm &&
-         !st.max_queue_depth.compare_exchange_weak(
-             hwm, static_cast<std::uint64_t>(depth),
-             std::memory_order_relaxed)) {
-  }
+  stats_[to_size(Off{s})]->max_queue_depth.raise(
+      static_cast<std::uint64_t>(depth));
   if (obs::metrics_enabled())
     obs::Registry::instance()
         .histogram(strprintf("psrv.s%d.queue_depth", s))
@@ -480,7 +405,7 @@ void ServerPool::serve(int idx) {
       wire::put_i64(m, l.recall_deadline);
       comm.send(sit->second.callback_slot, wire::kTagRecall, std::move(m),
                 sim::MsgClass::Meta);
-      st.recalls_sent.fetch_add(1, std::memory_order_relaxed);
+      st.recalls_sent.add(1);
     }
   };
 
@@ -508,6 +433,16 @@ void ServerPool::serve(int idx) {
     }
   };
 
+  // The global byte span of a request's shard-local extent; Protocol
+  // when it does not fit an Off.
+  const auto global_span = [&](Off off, Off len) {
+    Off lo = 0, hi = 0;
+    LLIO_REQUIRE(!__builtin_add_overflow(dom.lo, off, &lo) &&
+                     !__builtin_add_overflow(lo, len, &hi),
+                 Errc::Protocol, "psrv: request extent overflows");
+    return std::pair<Off, Off>(lo, hi);
+  };
+
   // Conflicting lease ids (other sessions) in the way of a request.
   // `rd` is positioned just past the op byte and session id.
   const auto collect_blockers = [&](wire::Op op, wire::Reader rd,
@@ -518,14 +453,14 @@ void ServerPool::serve(int idx) {
       case wire::Op::Read: {
         const Off off = rd.i64();
         const Off len = rd.i64();
-        if (len > 0) ranges.emplace_back(dom.lo + off, dom.lo + off + len);
+        if (len > 0) ranges.push_back(global_span(off, len));
         break;
       }
       case wire::Op::Write: {
         const Off off = rd.i64();
         const Off len = rd.remaining();
         writing = true;
-        if (len > 0) ranges.emplace_back(dom.lo + off, dom.lo + off + len);
+        if (len > 0) ranges.push_back(global_span(off, len));
         break;
       }
       case wire::Op::ReadList:
@@ -537,8 +472,7 @@ void ServerPool::serve(int idx) {
           const Off off = rd.i64();
           const Off len = rd.i64();
           if (len <= 0) continue;
-          const Off lo = dom.lo + off;
-          const Off hi = lo + len;
+          const auto [lo, hi] = global_span(off, len);
           // A fenced write-back extent will be dropped, not applied: it
           // cannot conflict with anything.
           if (op == wire::Op::WriteBack && leases.is_fenced(session, lo, hi))
@@ -567,40 +501,43 @@ void ServerPool::serve(int idx) {
     return ids;
   };
 
-  // Replay an ol-list against the shard: adjacent extents (file-adjacent
-  // AND payload-adjacent, which replay order guarantees) batch into one
-  // vectored access.
-  const auto replay_extents =
-      [&](wire::Reader& rd, Off nextents,
-          const std::function<void(Off local_off, Off len, Off payload_off)>&
-              emit) -> Off {
-    Off payload_off = 0;
-    for (Off i = 0; i < nextents; ++i) {
+  // Decode a request's ol-list of (shard-local offset, length) extents
+  // and return their summed length.  The count, each extent's end and the
+  // sum are all checked before anything is sized from them.
+  const auto decode_extents =
+      [](wire::Reader& rd, std::vector<std::pair<Off, Off>>& extents) -> Off {
+    const Off n = rd.i64();
+    LLIO_REQUIRE(n >= 0 && n <= rd.remaining() / 16, Errc::Protocol,
+                 "psrv: bad list extent count");
+    extents.reserve(to_size(n));
+    Off total = 0;
+    for (Off i = 0; i < n; ++i) {
       const Off off = rd.i64();
       const Off len = rd.i64();
-      LLIO_REQUIRE(off >= 0 && len >= 0, Errc::Protocol,
-                   "psrv: negative list extent");
-      emit(off, len, payload_off);
-      payload_off += len;
+      Off end = 0;
+      LLIO_REQUIRE(
+          off >= 0 && len >= 0 && !__builtin_add_overflow(off, len, &end),
+          Errc::Protocol, "psrv: bad list extent");
+      LLIO_REQUIRE(!__builtin_add_overflow(total, len, &total),
+                   Errc::Protocol, "psrv: list extent lengths overflow");
+      extents.emplace_back(off, len);
     }
-    return payload_off;
+    return total;
   };
 
   // Account + answer one request.  `service_sec` covers shard/cpu work
   // (0 for writes that rode an aggregated pwritev).
   const auto respond = [&](const PendingReq& r, ByteVec resp,
                            sim::MsgClass cls, double service_sec) {
-    st.requests.fetch_add(1, std::memory_order_relaxed);
-    st.bytes_in.fetch_add(r.msg.size(), std::memory_order_relaxed);
-    st.bytes_out.fetch_add(resp.size(), std::memory_order_relaxed);
-    st.service_ns.fetch_add(static_cast<std::uint64_t>(service_sec * 1e9),
-                            std::memory_order_relaxed);
+    st.requests.add(1);
+    st.bytes_in.add(r.msg.size());
+    st.bytes_out.add(resp.size());
+    st.service_s.add_seconds(service_sec);
     const double wait_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       r.enq_wall)
             .count();
-    st.queue_wait_ns.fetch_add(static_cast<std::uint64_t>(wait_s * 1e9),
-                               std::memory_order_relaxed);
+    st.queue_wait_s.add_seconds(wait_s);
     if (service_hist != nullptr)
       service_hist->record(static_cast<long long>(service_sec * 1e6));
     if (obs::metrics_enabled() && r.session != 0) {
@@ -638,20 +575,22 @@ void ServerPool::serve(int idx) {
           const Off len = rd.i64();
           LLIO_REQUIRE(off >= 0 && len >= 0, Errc::Protocol,
                        "psrv: bad read extent");
+          global_span(off, len);  // overflow check before sizing the reply
           resp = wire::ok_response(len, len);
           const std::size_t at = resp.size();
           resp.resize(at + to_size(len));
           pfs::IoVec one{off, ByteSpan(resp.data() + at, to_size(len))};
           shard.preadv(std::span<const pfs::IoVec>(&one, 1));
           resp_cls = sim::MsgClass::Data;
-          st.contig_ops.fetch_add(1, std::memory_order_relaxed);
-          st.contig_bytes.fetch_add(static_cast<std::uint64_t>(len),
-                                    std::memory_order_relaxed);
+          st.contig_ops.add(1);
+          st.contig_bytes.add(static_cast<std::uint64_t>(len));
           break;
         }
         case wire::Op::Write: {
           const Off off = rd.i64();
           const ConstByteSpan data = rd.rest();
+          LLIO_REQUIRE(off >= 0, Errc::Protocol, "psrv: bad write extent");
+          global_span(off, to_off(data.size()));
           // Cross-session write aggregation: pull file-adjacent queued
           // writes (lane fronts only — preserves per-endpoint response
           // order) into this shard access.
@@ -665,10 +604,12 @@ void ServerPool::serve(int idx) {
               const Off poff = prd.i64();
               if (poff != chain_end) return false;
               const Off plen = prd.remaining();
+              Off hi = 0;  // dom.lo + poff fits: poff == chain_end
               return plen > 0 &&
+                     !__builtin_add_overflow(dom.lo + poff, plen, &hi) &&
                      leases
                          .conflicts(psess, /*writing=*/true, dom.lo + poff,
-                                    dom.lo + poff + plen, now())
+                                    hi, now())
                          .empty();
             });
             if (!stolen) break;
@@ -694,20 +635,16 @@ void ServerPool::serve(int idx) {
           }
           shard.pwritev(iov);
           resp = wire::ok_response(to_off(data.size()));
-          st.contig_ops.fetch_add(1, std::memory_order_relaxed);
-          st.contig_bytes.fetch_add(data.size(), std::memory_order_relaxed);
+          st.contig_ops.add(1);
+          st.contig_bytes.add(data.size());
           break;
         }
         case wire::Op::ReadList: {
-          const Off nextents = rd.i64();
+          std::vector<std::pair<Off, Off>> extents;
+          const Off total = decode_extents(rd, extents);
+          // Adjacent extents (file-adjacent AND payload-adjacent, which
+          // list order guarantees) batch into one vectored access.
           std::vector<pfs::IoVec> iov;
-          std::vector<std::pair<Off, Off>> extents;  // (local, len)
-          extents.reserve(to_size(nextents));
-          Off total = 0;
-          total = replay_extents(rd, nextents,
-                                 [&](Off off, Off len, Off /*pay*/) {
-                                   extents.emplace_back(off, len);
-                                 });
           resp = wire::ok_response(total, total);
           const std::size_t at = resp.size();
           resp.resize(at + to_size(total));
@@ -719,7 +656,7 @@ void ServerPool::serve(int idx) {
               iov.back().buf =
                   ByteSpan(iov.back().buf.data(),
                            iov.back().buf.size() + to_size(len));
-              st.batched_extents.fetch_add(1, std::memory_order_relaxed);
+              st.batched_extents.add(1);
             } else {
               iov.push_back({off, ByteSpan(payload + pay, to_size(len))});
             }
@@ -727,21 +664,14 @@ void ServerPool::serve(int idx) {
           }
           shard.preadv(iov);
           resp_cls = sim::MsgClass::Data;
-          st.list_ops.fetch_add(1, std::memory_order_relaxed);
-          st.list_extents.fetch_add(static_cast<std::uint64_t>(nextents),
-                                    std::memory_order_relaxed);
-          st.list_bytes.fetch_add(static_cast<std::uint64_t>(total),
-                                  std::memory_order_relaxed);
+          st.list_ops.add(1);
+          st.list_extents.add(extents.size());
+          st.list_bytes.add(static_cast<std::uint64_t>(total));
           break;
         }
         case wire::Op::WriteList: {
-          const Off nextents = rd.i64();
           std::vector<std::pair<Off, Off>> extents;
-          extents.reserve(to_size(nextents));
-          const Off total = replay_extents(
-              rd, nextents, [&](Off off, Off len, Off /*pay*/) {
-                extents.emplace_back(off, len);
-              });
+          const Off total = decode_extents(rd, extents);
           const ConstByteSpan payload = rd.rest();
           LLIO_REQUIRE(to_off(payload.size()) == total, Errc::Protocol,
                        "psrv: list payload size mismatch");
@@ -753,7 +683,7 @@ void ServerPool::serve(int idx) {
               iov.back().buf =
                   ConstByteSpan(iov.back().buf.data(),
                                 iov.back().buf.size() + to_size(len));
-              st.batched_extents.fetch_add(1, std::memory_order_relaxed);
+              st.batched_extents.add(1);
             } else {
               iov.push_back(
                   {off, ConstByteSpan(payload.data() + pay, to_size(len))});
@@ -762,11 +692,9 @@ void ServerPool::serve(int idx) {
           }
           shard.pwritev(iov);
           resp = wire::ok_response(total);
-          st.list_ops.fetch_add(1, std::memory_order_relaxed);
-          st.list_extents.fetch_add(static_cast<std::uint64_t>(nextents),
-                                    std::memory_order_relaxed);
-          st.list_bytes.fetch_add(static_cast<std::uint64_t>(total),
-                                  std::memory_order_relaxed);
+          st.list_ops.add(1);
+          st.list_extents.add(extents.size());
+          st.list_bytes.add(static_cast<std::uint64_t>(total));
           break;
         }
         case wire::Op::ReadView:
@@ -790,7 +718,7 @@ void ServerPool::serve(int idx) {
               resp.clear();
               wire::put_u8(resp, static_cast<std::uint8_t>(
                                      wire::Status::UnknownView));
-              st.view_misses.fetch_add(1, std::memory_order_relaxed);
+              st.view_misses.add(1);
               break;
             }
             dt::Type ft = dt::deserialize(tree);
@@ -803,14 +731,14 @@ void ServerPool::serve(int idx) {
               for (auto v = views.begin(); v != views.end(); ++v)
                 if (v->second.last_use < victim->second.last_use) victim = v;
               views.erase(victim);
-              st.view_evictions.fetch_add(1, std::memory_order_relaxed);
+              st.view_evictions.add(1);
             }
             auto nav = std::make_unique<core::ListlessNav>(ft);
             it = views
                      .emplace(view_id,
                               ViewEntry{std::move(ft), std::move(nav), 0})
                      .first;
-            st.view_installs.fetch_add(1, std::memory_order_relaxed);
+            st.view_installs.add(1);
           }
           it->second.last_use = ++use_tick;
           core::ListlessNav& nav = *it->second.nav;
@@ -839,11 +767,9 @@ void ServerPool::serve(int idx) {
                                   /*whole_range_locked=*/true};
           mpiio::sieve_or_direct(ctx, writing, nav, disp - dom.lo, stream_lo,
                                  n, abs_lo - dom.lo, abs_hi - dom.lo, mover);
-          st.view_segments.fetch_add(ios.file_extents,
-                                     std::memory_order_relaxed);
-          st.view_ops.fetch_add(1, std::memory_order_relaxed);
-          st.view_bytes.fetch_add(static_cast<std::uint64_t>(n),
-                                  std::memory_order_relaxed);
+          st.view_segments.add(ios.file_extents);
+          st.view_ops.add(1);
+          st.view_bytes.add(static_cast<std::uint64_t>(n));
           break;
         }
         case wire::Op::Resize: {
@@ -854,13 +780,13 @@ void ServerPool::serve(int idx) {
               std::clamp<Off>(new_size - dom.lo, 0, dom.hi - dom.lo);
           if (!dom.empty()) shard.resize(local);
           resp = wire::ok_response(0);
-          st.admin_ops.fetch_add(1, std::memory_order_relaxed);
+          st.admin_ops.add(1);
           break;
         }
         case wire::Op::Sync: {
           shard.sync();
           resp = wire::ok_response(0);
-          st.admin_ops.fetch_add(1, std::memory_order_relaxed);
+          st.admin_ops.add(1);
           break;
         }
         case wire::Op::OpenSession: {
@@ -874,7 +800,7 @@ void ServerPool::serve(int idx) {
           sessions[session] = si;
           sched.set_weight(session, si.weight);
           resp = wire::ok_response(0);
-          st.session_ops.fetch_add(1, std::memory_order_relaxed);
+          st.session_ops.add(1);
           break;
         }
         case wire::Op::CloseSession: {
@@ -882,7 +808,7 @@ void ServerPool::serve(int idx) {
           sched.drop_session(session);
           sessions.erase(session);
           resp = wire::ok_response(0);
-          st.session_ops.fetch_add(1, std::memory_order_relaxed);
+          st.session_ops.add(1);
           break;
         }
         case wire::Op::LeaseAcquire: {
@@ -902,23 +828,18 @@ void ServerPool::serve(int idx) {
           wire::put_u8(resp, g.granted ? 1 : 0);
           wire::put_i64(resp, g.lease_id);
           wire::put_i64(resp, g.expiry);
-          st.lease_ops.fetch_add(1, std::memory_order_relaxed);
+          st.lease_ops.add(1);
           break;
         }
         case wire::Op::LeaseRelease: {
           leases.release(rd.i64());
           resp = wire::ok_response(0);
-          st.lease_ops.fetch_add(1, std::memory_order_relaxed);
+          st.lease_ops.add(1);
           break;
         }
         case wire::Op::WriteBack: {
-          const Off nextents = rd.i64();
           std::vector<std::pair<Off, Off>> extents;
-          extents.reserve(to_size(nextents));
-          const Off total = replay_extents(
-              rd, nextents, [&](Off off, Off len, Off /*pay*/) {
-                extents.emplace_back(off, len);
-              });
+          const Off total = decode_extents(rd, extents);
           const ConstByteSpan payload = rd.rest();
           LLIO_REQUIRE(to_off(payload.size()) == total, Errc::Protocol,
                        "psrv: write-back payload size mismatch");
@@ -926,12 +847,12 @@ void ServerPool::serve(int idx) {
           Off pay = 0;
           Off applied = 0;
           for (const auto& [off, len] : extents) {
-            const Off glo = dom.lo + off;
-            if (len > 0 && leases.is_fenced(session, glo, glo + len)) {
+            const auto [glo, ghi] = global_span(off, len);
+            if (len > 0 && leases.is_fenced(session, glo, ghi)) {
               // The write lease protecting this extent was force-expired
               // (dead client): the dirty data lost the race and must not
               // land over whatever was served meanwhile.
-              st.fenced_drops.fetch_add(1, std::memory_order_relaxed);
+              st.fenced_drops.add(1);
             } else if (len > 0) {
               iov.push_back(
                   {off, ConstByteSpan(payload.data() + pay, to_size(len))});
@@ -941,9 +862,8 @@ void ServerPool::serve(int idx) {
           }
           if (!iov.empty()) shard.pwritev(iov);
           resp = wire::ok_response(applied);
-          st.writeback_ops.fetch_add(1, std::memory_order_relaxed);
-          st.writeback_bytes.fetch_add(static_cast<std::uint64_t>(applied),
-                                       std::memory_order_relaxed);
+          st.writeback_ops.add(1);
+          st.writeback_bytes.add(static_cast<std::uint64_t>(applied));
           break;
         }
         default:
@@ -965,10 +885,9 @@ void ServerPool::serve(int idx) {
     for (auto& [ar, alen] : agg) {
       tick();
       if (!failed) {
-        st.contig_ops.fetch_add(1, std::memory_order_relaxed);
-        st.contig_bytes.fetch_add(static_cast<std::uint64_t>(alen),
-                                  std::memory_order_relaxed);
-        st.agg_writes.fetch_add(1, std::memory_order_relaxed);
+        st.contig_ops.add(1);
+        st.contig_bytes.add(static_cast<std::uint64_t>(alen));
+        st.agg_writes.add(1);
       }
       ByteVec aresp = failed ? wire::fail_response(Errc::Io,
                                                    "psrv: aggregated write "
@@ -1026,7 +945,7 @@ void ServerPool::serve(int idx) {
       }
 
       std::optional<PendingReq> r = sched.pop(now());
-      st.escalations.store(sched.escalations(), std::memory_order_relaxed);
+      st.escalations.store(sched.escalations());
       if (!r) {
         if (parked.empty() && sched.empty()) {
           auto [src, msg] = comm.recv_any(wire::kTagRequest);
@@ -1048,7 +967,7 @@ void ServerPool::serve(int idx) {
       }
       if (!try_serve(*r)) {
         sched.block(r->session);
-        st.parked.fetch_add(1, std::memory_order_relaxed);
+        st.parked.add(1);
         parked.push_back(std::move(*r));
       }
     }

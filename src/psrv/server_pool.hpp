@@ -37,6 +37,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -44,10 +45,14 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "mpiio/io_stats.hpp"
 #include "mpiio/twophase.hpp"
 #include "pfs/file_backend.hpp"
 #include "simmpi/comm.hpp"
@@ -112,52 +117,123 @@ struct PoolConfig {
   std::function<pfs::FilePtr(int server)> make_shard;
 };
 
+// X(type, member, kind, report name): one line per ServerStats field.
+// The struct, operator+=, the servers' live atomic mirror and its
+// snapshot(), and the psrv.<report> global counters of the JobReport are
+// all generated from this table.  Time fields live in integer-nanosecond
+// atomics on the server and are reported in nanoseconds.
+#define LLIO_SERVER_STATS(X)                                                 \
+  X(std::uint64_t, requests, Count, "requests")                              \
+  /* requests served by class: Read/Write, ReadList/WriteList, */           \
+  /* ReadView/WriteView, Resize/Sync */                                      \
+  X(std::uint64_t, contig_ops, Count, "contig_ops")                          \
+  X(std::uint64_t, list_ops, Count, "list_ops")                              \
+  X(std::uint64_t, view_ops, Count, "view_ops")                              \
+  X(std::uint64_t, admin_ops, Count, "admin_ops")                            \
+  /* request message bytes received, response message bytes sent */        \
+  X(std::uint64_t, bytes_in, Count, "bytes_in")                              \
+  X(std::uint64_t, bytes_out, Count, "bytes_out")                            \
+  /* file payload bytes moved, by request class */                           \
+  X(std::uint64_t, contig_bytes, Count, "contig_bytes")                      \
+  X(std::uint64_t, list_bytes, Count, "list_bytes")                          \
+  X(std::uint64_t, view_bytes, Count, "view_bytes")                          \
+  /* ol-list entries replayed */                                             \
+  X(std::uint64_t, list_extents, Count, "list_extents")                      \
+  /* file extents the server issued for view requests: one per sieve */     \
+  /* window or direct run (not per navigated segment) */                     \
+  X(std::uint64_t, view_segments, Count, "view_segments")                    \
+  /* extents merged away by adjacency */                                     \
+  X(std::uint64_t, batched_extents, Count, "batched_extents")                \
+  X(std::uint64_t, view_installs, Count, "view_installs")                    \
+  X(std::uint64_t, view_evictions, Count, "view_evictions")                  \
+  /* UnknownView responses (client retries) */                               \
+  X(std::uint64_t, view_misses, Count, "view_misses")                        \
+  /* multi-tenancy: OpenSession/CloseSession, LeaseAcquire/LeaseRelease, */ \
+  /* WriteBack requests served and their payload applied, recall */         \
+  /* messages pushed to clients, requests parked on lease conflicts, */     \
+  /* write-back extents fenced away, queued writes coalesced by */          \
+  /* cross-session aggregation, deadline-lane promotions */                  \
+  X(std::uint64_t, session_ops, Count, "session_ops")                        \
+  X(std::uint64_t, lease_ops, Count, "lease_ops")                            \
+  X(std::uint64_t, writeback_ops, Count, "writeback_ops")                    \
+  X(std::uint64_t, writeback_bytes, Count, "writeback_bytes")                \
+  X(std::uint64_t, recalls_sent, Count, "recalls_sent")                      \
+  X(std::uint64_t, parked, Count, "parked")                                  \
+  X(std::uint64_t, fenced_drops, Count, "fenced_drops")                      \
+  X(std::uint64_t, agg_writes, Count, "agg_writes")                          \
+  X(std::uint64_t, escalations, Count, "escalations")                        \
+  /* high-water of in-flight requests *per session* (flow control is per */ \
+  /* (server, session); the pool-wide queue is sessions x depth deep) */    \
+  X(std::uint64_t, max_queue_depth, Peak, "max_queue_depth")                 \
+  /* wall time spent serving, and requests sat queued/parked */              \
+  X(double, service_s, Time, "service_ns")                                   \
+  X(double, queue_wait_s, Time, "queue_wait_ns")
+
 /// Snapshot of one server's service counters.
 struct ServerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t contig_ops = 0;  ///< Read/Write requests served
-  std::uint64_t list_ops = 0;    ///< ReadList/WriteList requests served
-  std::uint64_t view_ops = 0;    ///< ReadView/WriteView requests served
-  std::uint64_t admin_ops = 0;   ///< Resize/Sync
+#define LLIO_STATS_MEMBER(type, name, kind, report) type name = 0;
+  LLIO_SERVER_STATS(LLIO_STATS_MEMBER)
+#undef LLIO_STATS_MEMBER
 
-  std::uint64_t bytes_in = 0;   ///< request message bytes received
-  std::uint64_t bytes_out = 0;  ///< response message bytes sent
-
-  /// File payload bytes moved, by request class.
-  std::uint64_t contig_bytes = 0;
-  std::uint64_t list_bytes = 0;
-  std::uint64_t view_bytes = 0;
-
-  std::uint64_t list_extents = 0;    ///< ol-list entries replayed
-  /// File extents the server issued for view requests: one per sieve
-  /// window or direct run (not per navigated segment).
-  std::uint64_t view_segments = 0;
-  std::uint64_t batched_extents = 0; ///< extents merged away by adjacency
-
-  std::uint64_t view_installs = 0;
-  std::uint64_t view_evictions = 0;
-  std::uint64_t view_misses = 0;  ///< UnknownView responses (client retries)
-
-  // Multi-tenancy (sessions, leases, scheduler).
-  std::uint64_t session_ops = 0;      ///< OpenSession/CloseSession
-  std::uint64_t lease_ops = 0;        ///< LeaseAcquire/LeaseRelease
-  std::uint64_t writeback_ops = 0;    ///< WriteBack requests served
-  std::uint64_t writeback_bytes = 0;  ///< write-back payload applied
-  std::uint64_t recalls_sent = 0;     ///< recall messages pushed to clients
-  std::uint64_t parked = 0;           ///< requests parked on lease conflicts
-  std::uint64_t fenced_drops = 0;     ///< write-back extents fenced away
-  std::uint64_t agg_writes = 0;       ///< queued writes coalesced by
-                                      ///< cross-session aggregation
-  std::uint64_t escalations = 0;      ///< deadline-lane promotions
-
-  /// High-water of in-flight requests *per session* (flow control is per
-  /// (server, session); the pool-wide queue is sessions x depth deep).
-  std::uint64_t max_queue_depth = 0;
-  double service_s = 0;     ///< wall time spent serving
-  double queue_wait_s = 0;  ///< wall time requests sat queued/parked
-
-  ServerStats& operator+=(const ServerStats& o);
+  ServerStats& operator+=(const ServerStats& o) {
+#define LLIO_STATS_MERGE(type, name, kind, report) \
+  mpiio::merge_stat(mpiio::StatKind::kind, name, o.name);
+    LLIO_SERVER_STATS(LLIO_STATS_MERGE)
+#undef LLIO_STATS_MERGE
+    return *this;
+  }
 };
+
+/// Call fn(const mpiio::StatField&, value) for every ServerStats field,
+/// in table order; the field's report name carries the "psrv." prefix.
+template <class Stats, class Fn>
+  requires std::same_as<std::remove_const_t<Stats>, ServerStats>
+void for_each_field(Stats& s, Fn&& fn) {
+#define LLIO_STATS_VISIT(type, name, kind, report) \
+  fn(mpiio::StatField{#name, mpiio::StatKind::kind, "psrv." report, nullptr}, \
+     s.name);
+  LLIO_SERVER_STATS(LLIO_STATS_VISIT)
+#undef LLIO_STATS_VISIT
+}
+
+/// The live mirror of one ServerStats field: a relaxed atomic that one
+/// server thread updates and any thread reads; time fields are kept in
+/// integer nanoseconds.
+class AtomicStat {
+ public:
+  void add(std::uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void add_seconds(double s) { add(static_cast<std::uint64_t>(s * 1e9)); }
+  void store(std::uint64_t n) { v_.store(n, std::memory_order_relaxed); }
+  void raise(std::uint64_t n) {
+    std::uint64_t hwm = v_.load(std::memory_order_relaxed);
+    while (n > hwm &&
+           !v_.compare_exchange_weak(hwm, n, std::memory_order_relaxed)) {
+    }
+  }
+  void load_into(std::uint64_t& out) const {
+    out = v_.load(std::memory_order_relaxed);
+  }
+  void load_into(double& seconds) const {
+    seconds = static_cast<double>(v_.load(std::memory_order_relaxed)) / 1e9;
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+};
+
+/// One server's live counters, generated from the same table.
+struct AtomicServerStats {
+#define LLIO_STATS_ATOMIC(type, name, kind, report) AtomicStat name;
+  LLIO_SERVER_STATS(LLIO_STATS_ATOMIC)
+#undef LLIO_STATS_ATOMIC
+
+  ServerStats snapshot() const;
+};
+
+/// Every field as a psrv.<report> JobReport global counter (time fields in
+/// nanoseconds).
+std::vector<std::pair<std::string, std::uint64_t>> report_counters(
+    const ServerStats& s);
 
 class ServerFile;
 
@@ -334,7 +410,6 @@ class ServerPool {
 
   void serve(int idx);
 
-  struct AtomicServerStats;
   struct CreditState;
 
   PoolConfig cfg_;

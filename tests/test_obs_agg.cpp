@@ -2,7 +2,9 @@
 // RankSnapshot wire roundtrip, Collector phase statistics and straggler
 // identification, the collective aggregate() over a multi-rank world with
 // an injected slow rank, the always-on sampling ring (wrap-around and
-// reader-during-writes coherence), and the critical-path attribution.
+// reader-during-writes coherence), the critical-path attribution, and
+// the IoOpStats / ServerStats field tables behind the report (each check
+// walks the table, so a new field is covered without editing it).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "obs/snapshot.hpp"
 #include "pfs/mem_file.hpp"
 #include "pfs/throttled_file.hpp"
+#include "psrv/server_file.hpp"
 #include "simmpi/comm.hpp"
 
 namespace llio {
@@ -536,6 +540,267 @@ TEST(CriticalPath, EmptyTraceYieldsEmptyReport) {
   const obs::CriticalPathReport r = obs::critical_path({});
   EXPECT_EQ(r.windows, 0);
   EXPECT_DOUBLE_EQ(r.attributed_frac, 0.0);
+}
+
+// ---- stats field tables ------------------------------------------------
+
+template <class Pairs>
+const typename Pairs::value_type* find_named(const Pairs& v,
+                                             const std::string& name) {
+  for (const auto& p : v)
+    if (p.first == name) return &p;
+  return nullptr;
+}
+
+/// Every field of `s` as a double, in table order.
+template <class Stats>
+std::vector<double> field_values(const Stats& s) {
+  std::vector<double> out;
+  for_each_field(s, [&](const mpiio::StatField&, const auto& v) {
+    out.push_back(static_cast<double>(v));
+  });
+  return out;
+}
+
+TEST(StatsTable, IoOpStatsMergeByKindAndFormatEveryField) {
+  mpiio::IoOpStats a, b;
+  int i = 0;
+  for_each_field(a, [&](const mpiio::StatField&, auto& v) {
+    v = static_cast<std::decay_t<decltype(v)>>(3 + i++);
+  });
+  i = 0;  // b is above a on odd fields, below it on even ones
+  for_each_field(b, [&](const mpiio::StatField&, auto& v) {
+    v = static_cast<std::decay_t<decltype(v)>>(i++ % 2 == 0 ? 1 : 1000);
+  });
+  mpiio::IoOpStats c = a;
+  c += b;
+  const std::vector<double> va = field_values(a), vb = field_values(b),
+                            vc = field_values(c);
+  const std::string text = mpiio::format_stats(c);
+  std::vector<std::string> names;
+  std::size_t k = 0;
+  for_each_field(c, [&](const mpiio::StatField& f, const auto&) {
+    const double want = f.kind == mpiio::StatKind::Peak
+                            ? std::max(va[k], vb[k])
+                            : va[k] + vb[k];
+    EXPECT_DOUBLE_EQ(vc[k], want) << f.name;
+    EXPECT_NE(text.find(std::string(f.name) + " "), std::string::npos)
+        << f.name << " missing from format_stats";
+    if (f.kind == mpiio::StatKind::Time) {
+      EXPECT_EQ(std::string(f.hist), "op." + std::string(f.report) + "_us");
+    }
+    names.push_back(f.report);
+    ++k;
+  });
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end())
+      << "report names must be unique";
+}
+
+TEST(StatsTable, ListCollectiveReportCarriesEveryIoOpStatsField) {
+  ObsSandbox sandbox(/*metrics=*/true);
+  constexpr int kRanks = 4;
+  const Off nblock = 64, sblock = 8;
+  const Off nbytes = 4 * nblock * sblock;
+  auto fs = pfs::MemFile::create();
+  std::vector<mpiio::IoOpStats> per_rank(kRanks);
+  std::vector<obs::JobReport> reports(kRanks);
+  sim::Runtime::run(kRanks, [&](sim::Comm& comm) {
+    mpiio::Options o;
+    o.method = mpiio::Method::ListBased;
+    o.metrics = true;
+    o.file_buffer_size = 1024;
+    mpiio::File f = mpiio::File::open(comm, fs, o);
+    f.set_view(0, dt::byte(),
+               iotest::noncontig_filetype(nblock, sblock, kRanks,
+                                          comm.rank()));
+    const ByteVec stream = iotest::payload_stream(comm.rank(), nbytes);
+    f.write_at_all(0, stream.data(), nbytes, dt::byte());
+    ByteVec back(to_size(nbytes));
+    f.read_at_all(0, back.data(), nbytes, dt::byte());
+    EXPECT_EQ(back, stream);
+    const auto r = static_cast<std::size_t>(comm.rank());
+    per_rank[r] = f.cumulative_stats();
+    reports[r] = f.close();
+  });
+
+  std::vector<std::vector<double>> values;
+  for (const mpiio::IoOpStats& st : per_rank)
+    values.push_back(field_values(st));
+  for (const obs::JobReport& r : reports) {
+    ASSERT_EQ(r.nranks, kRanks);
+    std::size_t k = 0;
+    for_each_field(per_rank[0], [&](const mpiio::StatField& f, const auto&) {
+      double sum = 0, peak = 0;
+      for (const auto& v : values) {
+        sum += v[k];
+        peak = std::max(peak, v[k]);
+      }
+      switch (f.kind) {
+        case mpiio::StatKind::Time: {
+          const obs::PhaseStats* p = r.phase(f.report);
+          ASSERT_NE(p, nullptr) << f.report;
+          for (std::size_t i = 0; i < values.size(); ++i)
+            EXPECT_DOUBLE_EQ(p->per_rank_s[i], values[i][k]) << f.report;
+          EXPECT_TRUE(std::any_of(
+              r.hists.begin(), r.hists.end(),
+              [&](const obs::MergedHistogram& h) { return h.name == f.hist; }))
+              << f.hist;
+          break;
+        }
+        case mpiio::StatKind::Count: {
+          const auto* c = find_named(r.counters, f.report);
+          ASSERT_NE(c, nullptr) << f.report;
+          EXPECT_EQ(c->second, static_cast<std::uint64_t>(sum)) << f.report;
+          break;
+        }
+        case mpiio::StatKind::Peak: {
+          const auto* pk = find_named(r.peaks, f.report);
+          ASSERT_NE(pk, nullptr) << f.report;
+          EXPECT_DOUBLE_EQ(pk->second, peak) << f.report;
+          break;
+        }
+      }
+      ++k;
+    });
+    // The list engine's own cost terms reach the report.
+    ASSERT_NE(r.phase("list_build"), nullptr);
+    EXPECT_GT(r.phase("list_build")->sum_s, 0.0);
+    EXPECT_GT(find_named(r.counters, "list_bytes_sent")->second, 0u);
+    EXPECT_GT(find_named(r.peaks, "list_mem_bytes")->second, 0.0);
+    EXPECT_NE(r.to_json().find("\"peaks\":{"), std::string::npos);
+  }
+}
+
+TEST(StatsTable, ServerStatsSurviveSnapshotMergeAndReport) {
+  psrv::AtomicServerStats live;
+  std::uint64_t k = 0;
+  auto feed = [&](psrv::AtomicStat& a, mpiio::StatKind kind) {
+    ++k;
+    switch (kind) {
+      case mpiio::StatKind::Time:
+        a.add_seconds(static_cast<double>(k) * 1e-3);
+        break;
+      case mpiio::StatKind::Count:
+        a.add(k);
+        a.add(k);
+        break;
+      case mpiio::StatKind::Peak:
+        a.raise(k);
+        a.raise(k - 1);  // a lower sample never lowers the mark
+        break;
+    }
+  };
+#define LLIO_TEST_FEED(type, name, kind, report) \
+  feed(live.name, mpiio::StatKind::kind);
+  LLIO_SERVER_STATS(LLIO_TEST_FEED)
+#undef LLIO_TEST_FEED
+
+  const psrv::ServerStats snap = live.snapshot();
+  psrv::ServerStats twice = snap;
+  twice += snap;
+  const std::vector<double> vs = field_values(snap), vt = field_values(twice);
+  const auto counters = psrv::report_counters(snap);
+  ASSERT_EQ(counters.size(), vs.size());
+  std::size_t i = 0;
+  for_each_field(snap, [&](const mpiio::StatField& f, const auto&) {
+    const double n = static_cast<double>(i + 1);
+    switch (f.kind) {
+      case mpiio::StatKind::Time:
+        EXPECT_NEAR(vs[i], n * 1e-3, 1e-8) << f.name;
+        EXPECT_NEAR(vt[i], 2 * vs[i], 1e-12) << f.name;
+        EXPECT_NEAR(static_cast<double>(counters[i].second), vs[i] * 1e9, 1)
+            << f.name;
+        break;
+      case mpiio::StatKind::Count:
+        EXPECT_EQ(vs[i], 2 * n) << f.name;
+        EXPECT_EQ(vt[i], 4 * n) << f.name;
+        EXPECT_EQ(counters[i].second, static_cast<std::uint64_t>(2 * n));
+        break;
+      case mpiio::StatKind::Peak:
+        EXPECT_EQ(vs[i], n) << f.name;
+        EXPECT_EQ(vt[i], n) << f.name;
+        EXPECT_EQ(counters[i].second, static_cast<std::uint64_t>(n));
+        break;
+    }
+    EXPECT_EQ(counters[i].first, f.report);
+    EXPECT_EQ(counters[i].first.rfind("psrv.", 0), 0u) << f.report;
+    ++i;
+  });
+}
+
+TEST(StatsTable, PsrvReportCountersEqualPoolTotals) {
+  auto pool = psrv::ServerPool::create(iotest::small_pool_config());
+  const ByteVec stream = iotest::payload_stream(1, 96);
+  obs::JobReport report;
+  psrv::ServerStats total;
+  for (psrv::RequestClass cls : {psrv::RequestClass::Contig,
+                                 psrv::RequestClass::List,
+                                 psrv::RequestClass::View}) {
+    sim::Runtime::run(1, [&](sim::Comm& comm) {
+      const pfs::FilePtr backend = psrv::ServerFile::create(pool, cls);
+      mpiio::File f = mpiio::File::open(comm, backend, mpiio::Options{});
+      f.set_view(0, dt::byte(), iotest::noncontig_filetype(12, 8, 1, 0));
+      f.write_at(0, stream.data(), 96, dt::byte());
+      ByteVec back(96);
+      f.read_at(0, back.data(), 96, dt::byte());
+      EXPECT_EQ(back, stream);
+      report = f.close();
+      // Before the handle goes away: closing its session is a request.
+      total = pool->total_server_stats();
+    });
+  }
+  std::size_t n = 0;
+  for_each_field(total, [&](const mpiio::StatField& f, const auto& v) {
+    const auto* c = find_named(report.global_counters, f.report);
+    ASSERT_NE(c, nullptr) << f.report;
+    if (f.kind == mpiio::StatKind::Time) {
+      EXPECT_NEAR(static_cast<double>(c->second),
+                  static_cast<double>(v) * 1e9, 1)
+          << f.report;
+    } else {
+      EXPECT_EQ(c->second, static_cast<std::uint64_t>(v)) << f.report;
+    }
+    ++n;
+  });
+  EXPECT_EQ(report.global_counters.size(), n);
+  EXPECT_GT(find_named(report.global_counters, "psrv.requests")->second, 0u);
+  EXPECT_GT(find_named(report.global_counters, "psrv.service_ns")->second, 0u);
+}
+
+TEST(RankSnapshot, PeaksRoundtripMaxAcrossRanksAndHostileCountsFail) {
+  obs::RankSnapshot a;
+  a.rank = 0;
+  a.peaks = {{"list_mem_bytes", 4096.0}, {"pack_slice_max_s", 0.25}};
+  const ByteVec raw = a.serialize();
+  const obs::RankSnapshot back =
+      obs::RankSnapshot::deserialize(ConstByteSpan(raw.data(), raw.size()));
+  ASSERT_EQ(back.peaks.size(), 2u);
+  EXPECT_EQ(back.peaks[1].first, "pack_slice_max_s");
+  EXPECT_DOUBLE_EQ(back.peaks[1].second, 0.25);
+
+  obs::RankSnapshot b = a;
+  b.rank = 1;
+  b.peaks = {{"list_mem_bytes", 1024.0}, {"pack_slice_max_s", 0.5}};
+  const obs::JobReport r = obs::Collector::build({a, b});
+  EXPECT_DOUBLE_EQ(find_named(r.peaks, "list_mem_bytes")->second, 4096.0);
+  EXPECT_DOUBLE_EQ(find_named(r.peaks, "pack_slice_max_s")->second, 0.5);
+
+  // An empty snapshot is rank + four u32 section counts; a count that
+  // could not fit in the payload is refused before anything is sized.
+  const ByteVec empty = obs::RankSnapshot{}.serialize();
+  ASSERT_EQ(empty.size(), 20u);
+  for (std::size_t at : {4u, 8u, 12u, 16u}) {
+    ByteVec bad = empty;
+    const std::uint32_t huge = 0xFFFFFFFFu;
+    std::memcpy(bad.data() + at, &huge, sizeof(huge));
+    try {
+      obs::RankSnapshot::deserialize(ConstByteSpan(bad.data(), bad.size()));
+      ADD_FAILURE() << "count at byte " << at << " accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::Protocol) << "count at byte " << at;
+    }
+  }
 }
 
 }  // namespace

@@ -247,7 +247,19 @@ TEST(PsrvViewService, HostileRequestsGetProtocolRepliesAndServerServesOn) {
     const char* what;
     ByteVec msg;
   };
+  // Contig and list requests whose extent arithmetic overflows.
+  ByteVec huge_read = wire::request_header(wire::Op::Read, session);
+  wire::put_i64(huge_read, Off{1} << 62);
+  wire::put_i64(huge_read, Off{1} << 62);
+  ByteVec overflowing_list = wire::request_header(wire::Op::ReadList, session);
+  wire::put_i64(overflowing_list, 2);
+  for (int i = 0; i < 2; ++i) {
+    wire::put_i64(overflowing_list, 0);
+    wire::put_i64(overflowing_list, Off{1} << 62);
+  }
   const Hostile hostile[] = {
+      {"contig read at off = len = 2^62", huge_read},
+      {"list lengths overflow when summed", overflowing_list},
       {"non-monotone tree",
        view_request(wire::Op::WriteView, session, bad_id, 0, 0, 16,
                     bad_tree)},

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <limits>
+
 #include "common/error.hpp"
 #include "dtype/serialize.hpp"
 #include "test_util.hpp"
@@ -83,6 +87,60 @@ TEST(Deserialize, RejectsBadBasicId) {
   ByteVec wire = serialize(byte());
   wire[1] = Byte{0x7F};
   EXPECT_THROW(deserialize(wire), Error);
+}
+
+void expect_invalid_datatype(const std::function<void()>& fn,
+                             const char* what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::InvalidDatatype) << what;
+  }
+}
+
+// Sizes, bounds and stride x extent that do not fit 64 bits are refused
+// at construction instead of wrapping (2^80 bytes once read as size 0).
+TEST(Datatype, OverflowingSizesAndBoundsThrow) {
+  expect_invalid_datatype(
+      [] { hvector(Off{1} << 40, Off{1} << 40, 1, byte()); }, "2^80 bytes");
+  expect_invalid_datatype(
+      [] { hvector(Off{3} << 31, Off{3} << 31, 1, byte()); }, "9 * 2^62 bytes");
+  expect_invalid_datatype(
+      [] { hvector(3, 1, Off{1} << 62, byte()); }, "upper bound");
+  expect_invalid_datatype(
+      [] { vector(2, 1, Off{1} << 61, double_()); }, "stride x extent");
+  expect_invalid_datatype(
+      [] { contiguous(Off{1} << 61, double_()); }, "contiguous size");
+  expect_invalid_datatype(
+      [] { resized(byte(), std::numeric_limits<Off>::max(), 2); },
+      "resized upper bound");
+  const Off bls[] = {Off{1} << 62, Off{1} << 62};
+  const Off ds[] = {0, 0};
+  expect_invalid_datatype([&] { hindexed(bls, ds, short_()); },
+                          "indexed size");
+}
+
+// A serialized tree hand-patched to the overflowing counts fails to
+// decode the same way.
+TEST(Deserialize, RejectsOverflowingVector) {
+  const ByteVec wire = serialize(hvector(2, 3, 1, byte()));
+  // Layout: u8 kind, i64 count, i64 blocklen, i64 stride, child.
+  for (const Off probe : {Off{1} << 40, Off{3} << 31}) {
+    ByteVec bad = wire;
+    std::memcpy(bad.data() + 1, &probe, sizeof(Off));
+    std::memcpy(bad.data() + 9, &probe, sizeof(Off));
+    expect_invalid_datatype([&] { deserialize(bad); }, "patched vector");
+  }
+}
+
+TEST(Deserialize, RejectsBlockCountBeyondInput) {
+  const Off bls[] = {1};
+  const Off ds[] = {0};
+  ByteVec bad = serialize(hindexed(bls, ds, byte()));
+  const Off huge = Off{1} << 31;  // 2^31 pairs cannot fit in a few bytes
+  std::memcpy(bad.data() + 1, &huge, sizeof(Off));
+  expect_invalid_datatype([&] { deserialize(bad); }, "block count");
 }
 
 }  // namespace

@@ -10,7 +10,8 @@ Checks, in order:
     the required sections (ranks, phases, counters, histograms,
     straggler, sampling; critical_path when the run was traced).
   * internal consistency: every phase's per_rank_s has nranks entries
-    and its min/max/sum agree with them; counters are non-negative.
+    and its min/max/sum agree with them; counters and peaks (per-rank
+    high-water marks, maxed across ranks) are non-negative.
   * histogram reconciliation: for every merged histogram, the merged
     count equals the sum of the per-rank counts, and each merged
     quantile (p50/p95/p99) lands within one log-linear bucket of the
@@ -206,7 +207,8 @@ def main():
         return int(not fail(f"schema is {report.get('schema')!r}, "
                             f"want 'llio_report/v1'"))
     for section, typ in (("nranks", int), ("ranks", list), ("phases", list),
-                         ("counters", dict), ("histograms", list),
+                         ("counters", dict), ("peaks", dict),
+                         ("histograms", list),
                          ("straggler", dict), ("global_histograms", dict),
                          ("sampling", dict)):
         if not isinstance(report.get(section), typ):
@@ -238,6 +240,9 @@ def main():
     for k, v in report["counters"].items():
         if not isinstance(v, int) or v < 0:
             ok = fail(f"counter {k} is {v!r}, want a non-negative integer")
+    for k, v in report["peaks"].items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
+            ok = fail(f"peak {k} is {v!r}, want a non-negative number")
 
     sampling = report["sampling"]
     if sampling.get("produced", -1) < 0 or sampling.get("dropped", -1) < 0:

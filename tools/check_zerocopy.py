@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Gate a bench_ablation_zerocopy run: zero-copy must not lose to staging.
+"""Gate bench_ablation_zerocopy runs: zero-copy must not lose to staging.
 
 Usage:
-    check_zerocopy.py CURRENT [--min-speedup 1.0]
+    check_zerocopy.py RUN [RUN ...] [--min-speedup 1.0]
 
-CURRENT holds one JSON object per line (the `sed -n 's/^json://p'`
-extraction of the bench output; a leading schema line is tolerated).
+Each RUN holds one JSON object per line (the `sed -n 's/^json://p'`
+extraction of one bench pass; a leading schema line is tolerated).
 The gate is within-run, so machine speed cancels out:
 
-  * every dense-workload zerocopy=auto row must reach at least
-    --min-speedup x its own staged (zerocopy=off) baseline, and
+  * every dense-workload zerocopy=auto row (one per backend) must reach
+    at least --min-speedup x its own staged (zerocopy=off) baseline, in
+    the median over the passes given — one pass slowed by a concurrent
+    job cannot fail the gate on its own, and
   * dense auto rows must actually have taken the descriptor path
-    (zerocopy_windows > 0, staging_bytes_saved > 0) — a silently
-    disengaged fast path would otherwise pass at 1.0x forever.
+    (zerocopy_windows > 0, staging_bytes_saved > 0) in every pass — a
+    silently disengaged fast path would otherwise pass at 1.0x forever.
 
 Holey rows are reported but not gated: staging may legitimately win
 there, which is exactly why llio_zerocopy=auto falls back per window.
@@ -22,6 +24,7 @@ Exit status: 0 when the gate holds, 1 otherwise.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -53,32 +56,41 @@ def load_rows(path):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("current")
+    ap.add_argument("runs", nargs="+", metavar="RUN")
     ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="floor for dense auto vs staged (default 1.0)")
+                    help="floor for the median dense auto vs staged "
+                         "speedup (default 1.0)")
     args = ap.parse_args()
 
-    rows = load_rows(args.current)
-    auto_rows = [r for r in rows if r["zerocopy"] == "auto"]
-    if not auto_rows:
-        print(f"error: no zerocopy=auto rows in {args.current}")
-        return 1
+    # (backend, workload) -> the auto row of each pass, in pass order.
+    by_row = {}
+    for path in args.runs:
+        auto_rows = [r for r in load_rows(path) if r["zerocopy"] == "auto"]
+        if not auto_rows:
+            print(f"error: no zerocopy=auto rows in {path}")
+            return 1
+        for r in auto_rows:
+            by_row.setdefault((r["backend"], r["workload"]), []).append(r)
 
     failed = False
-    for r in auto_rows:
-        dense = r["workload"] == "dense"
-        speedup = r["speedup_vs_staged"]
+    for (backend, workload), rows in by_row.items():
+        dense = workload == "dense"
+        speedups = [r["speedup_vs_staged"] for r in rows]
+        speedup = statistics.median(speedups)
         problems = []
         if dense and speedup < args.min_speedup:
-            problems.append(f"speedup {speedup:.2f} < floor {args.min_speedup:.2f}")
-        if dense and r["zerocopy_windows"] <= 0:
+            problems.append(f"median speedup {speedup:.2f} < floor "
+                            f"{args.min_speedup:.2f}")
+        if dense and any(r["zerocopy_windows"] <= 0 for r in rows):
             problems.append("descriptor path never engaged")
-        if dense and r["staging_bytes_saved"] <= 0:
+        if dense and any(r["staging_bytes_saved"] <= 0 for r in rows):
             problems.append("no staging bytes saved")
         verdict = "FAILED: " + "; ".join(problems) if problems else (
             "ok" if dense else "ok (not gated)")
-        print(f"{r['backend']:>10} {r['workload']:<6} "
-              f"speedup {speedup:5.2f}x  zc_windows {r['zerocopy_windows']:>4}  "
+        passes = " ".join(f"{x:.2f}" for x in speedups)
+        print(f"{backend:>10} {workload:<6} "
+              f"speedup {speedup:5.2f}x (passes {passes})  "
+              f"zc_windows {min(r['zerocopy_windows'] for r in rows):>4}  "
               f"{verdict}")
         failed |= bool(problems)
     return 1 if failed else 0
